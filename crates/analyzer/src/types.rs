@@ -6,8 +6,8 @@
 //! "Inference" is therefore seeding from declarations plus a bottom-up
 //! walk over expressions with Fortran's promotion rules — no fixpoint.
 //! The lattice still carries [`Ty::Unknown`] as a top element so the
-//! optimizer can decline to specialize anything it cannot prove (a chain
-//! whose operand type is `Unknown` stays on the dynamic dispatch path).
+//! optimizer can decline to specialize anything it cannot prove (a
+//! statement with an `Unknown` operand stays on the tree-walker).
 //!
 //! The traversal over `interp`'s lowered IR lives in `interp::typeck`
 //! (the IR is private to that crate); this module owns the lattice, the
@@ -127,9 +127,10 @@ pub struct ProcTypes {
     pub scalars: Vec<(String, Ty)>,
     /// (name, element type) per array slot, in slot order.
     pub arrays: Vec<(String, Ty)>,
-    /// Chain instructions compiled to a typed (monomorphic) variant.
+    /// Assignment statements compiled to typed register code.
     pub chains_typed: usize,
-    /// Chain instructions left on the dynamic value-tag dispatch path.
+    /// Assignment statements left on the tree-walker (an operand type
+    /// the inference could not prove).
     pub chains_dyn: usize,
 }
 

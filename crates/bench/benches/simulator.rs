@@ -1,8 +1,10 @@
 //! Criterion bench: clustersim throughput — wall-clock cost of simulating
-//! communication patterns. Simulation speed bounds how large an evaluation
-//! the harness can afford.
+//! communication patterns, as scripted ranks on `Cluster::run_resumable`
+//! (the engine the sweep runs). Simulation speed bounds how large an
+//! evaluation the harness can afford.
 
-use clustersim::{Bytes, Cluster, NetworkModel};
+use clustersim::script::{Op, Script};
+use clustersim::{Cluster, NetworkModel};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -14,15 +16,7 @@ fn bench_alltoall_rounds(c: &mut Criterion) {
             b.iter(|| {
                 let cluster = Cluster::new(np, NetworkModel::mpich_gm());
                 let out = cluster
-                    .run(|comm| {
-                        for _ in 0..32 {
-                            let payloads: Vec<Bytes> = (0..comm.np())
-                                .map(|_| Bytes::from(vec![0u8; 512]))
-                                .collect();
-                            comm.alltoall(payloads);
-                        }
-                        comm.now()
-                    })
+                    .run_resumable(None, |_| Script::new(vec![Op::Alltoall { bytes: 512 }; 32]))
                     .unwrap();
                 black_box(out.report.makespan())
             });
@@ -38,21 +32,28 @@ fn bench_isend_pipeline(c: &mut Criterion) {
         b.iter(|| {
             let cluster = Cluster::new(8, NetworkModel::mpich_gm());
             let out = cluster
-                .run(|comm| {
-                    let me = comm.rank();
-                    let np = comm.np();
+                .run_resumable(None, |comm| {
+                    let (me, np) = (comm.rank(), comm.np());
+                    let mut ops = Vec::new();
                     for round in 0..256 {
                         let to = (me + 1 + round % (np - 1)) % np;
-                        comm.isend(to, round as i64, Bytes::from(vec![1u8; 64]));
                         let from = (np + me - 1 - round % (np - 1)) % np;
-                        comm.irecv(from, round as i64);
-                        comm.advance(500.0);
+                        ops.push(Op::Send {
+                            to,
+                            tag: round as i64,
+                            bytes: 64,
+                        });
+                        ops.push(Op::Recv {
+                            from,
+                            tag: round as i64,
+                        });
+                        ops.push(Op::Compute(500.0));
                         if round % 16 == 15 {
-                            comm.wait_all();
+                            ops.push(Op::WaitAll);
                         }
                     }
-                    comm.wait_all();
-                    comm.now()
+                    ops.push(Op::WaitAll);
+                    Script::new(ops)
                 })
                 .unwrap();
             black_box(out.report.makespan())

@@ -1,11 +1,13 @@
-//! Criterion micro-bench for the sharded simulator core: isend/recv
-//! ping-pong and alltoall rendezvous at np {8, 32}. This is the verify
-//! gate's perf smoke — it exercises exactly the paths the sharded state
-//! and the rank pool rebuilt (per-pair mailboxes, per-rank condvars,
-//! pooled rank threads) so a contention regression shows up as wall-clock
-//! here before it shows up as a slow sweep.
+//! Criterion micro-bench for the simulator core: isend/recv ping-pong and
+//! alltoall rendezvous at np {8, 32}, as scripted ranks on
+//! `Cluster::run_resumable` — the engine the sweep runs. This is the
+//! verify gate's perf smoke: per-pair mailboxes, the rank scheduler's
+//! park/wake path and the collective slot, with no interpreter on top, so
+//! a contention regression shows up as wall-clock here before it shows up
+//! as a slow sweep.
 
-use clustersim::{Bytes, Cluster, NetworkModel};
+use clustersim::script::{Op, Script};
+use clustersim::{Cluster, NetworkModel};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -18,19 +20,25 @@ fn bench_pingpong(c: &mut Criterion) {
             b.iter(|| {
                 let cluster = Cluster::new(np, NetworkModel::mpich_gm());
                 let out = cluster
-                    .run(|comm| {
-                        let me = comm.rank();
-                        let np = comm.np();
-                        let peer = me ^ 1;
-                        for round in 0..64 {
-                            if peer < np {
-                                comm.isend(peer, round, Bytes::from(vec![me as u8; 256]));
-                                let id = comm.irecv(peer, round);
-                                comm.wait_recv(id);
-                                comm.wait_all();
+                    .run_resumable(None, |comm| {
+                        let peer = comm.rank() ^ 1;
+                        let mut ops = Vec::new();
+                        if peer < comm.np() {
+                            for round in 0..64 {
+                                ops.push(Op::Send {
+                                    to: peer,
+                                    tag: round,
+                                    bytes: 256,
+                                });
+                                ops.push(Op::Recv {
+                                    from: peer,
+                                    tag: round,
+                                });
+                                ops.push(Op::WaitRecvs);
+                                ops.push(Op::WaitAll);
                             }
                         }
-                        comm.now()
+                        Script::new(ops)
                     })
                     .unwrap();
                 black_box(out.report.makespan())
@@ -50,15 +58,7 @@ fn bench_alltoall(c: &mut Criterion) {
             b.iter(|| {
                 let cluster = Cluster::new(np, NetworkModel::mpich_gm());
                 let out = cluster
-                    .run(|comm| {
-                        for _ in 0..16 {
-                            let payloads: Vec<Bytes> = (0..comm.np())
-                                .map(|_| Bytes::from(vec![1u8; 256]))
-                                .collect();
-                            comm.alltoall(payloads);
-                        }
-                        comm.now()
-                    })
+                    .run_resumable(None, |_| Script::new(vec![Op::Alltoall { bytes: 256 }; 16]))
                     .unwrap();
                 black_box(out.report.makespan())
             });

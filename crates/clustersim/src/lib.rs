@@ -37,6 +37,7 @@ pub mod message;
 pub mod model;
 pub mod pool;
 mod sched;
+pub mod script;
 mod state;
 pub mod stats;
 pub mod time;

@@ -314,14 +314,15 @@ fn options_fingerprint(h: u64, opts: &Options) -> u64 {
     }
     // The switches are pinned byte-identical by the differential suites,
     // but fold them anyway: the hash should describe inputs, not lean on
-    // theorems about them.
+    // theorems about them. The trailing 1 is the retired typed-chains
+    // switch (always on), kept so committed `input_hash` values hold.
     fnv1a_extend(
         h,
         &[
             u8::from(opts.detect_buffer_reuse),
             u8::from(opts.trace),
             u8::from(opts.optimize),
-            u8::from(opts.typed_chains),
+            1,
         ],
     )
 }

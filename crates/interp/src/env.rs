@@ -97,6 +97,11 @@ impl BoundArray {
         (hi - lo + 1).max(0) as usize
     }
 
+    /// Column-major strides of the bound shape (`strides()[0] == 1`).
+    pub fn strides(&self) -> &[usize] {
+        &self.strides
+    }
+
     /// Total elements of the declared shape.
     pub fn shape_len(&self) -> usize {
         self.bounds.iter().map(|&(lo, hi)| (hi - lo + 1).max(0) as usize).product()

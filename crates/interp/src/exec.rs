@@ -8,6 +8,19 @@
 //! historical tree-walker; virtual times are pinned byte-for-byte by the
 //! golden and differential suites.
 //!
+//! Summarized blocks run as typed register code ([`TypedBlock`], compiled
+//! by [`crate::opt`]). At block entry — once per loop when a loop's body is
+//! one block — each array operand resolves to a view, taking one `RefCell`
+//! borrow per *distinct* storage for the whole run (aliased parameter
+//! windows share it, so they neither double-borrow nor read stale data),
+//! and slots, hoists and constants load into registers; written slots are
+//! stored back at exit. Every access is still range-checked in place, in
+//! the tree-walker's order, so the first error is unchanged. What is
+//! checked at entry may only *select* a path, never raise: a view whose
+//! storage lacks the block's static element type (sequence association
+//! leaves that to the caller) selects an uncharged tree-walk of the
+//! block's statements instead of the typed run.
+//!
 //! Interpreter-detected runtime errors (bounds violations, bad MPI
 //! arguments, non-contiguous communication buffers, buffer-reuse hazards)
 //! panic with an `interp:` message; the cluster runner converts rank panics
@@ -16,13 +29,14 @@
 use crate::cost::Options;
 use crate::env::{ArrayHandle, BoundArray};
 use crate::lower::{
-    BufferKind, Builtin, ChainTy, Hoist, Instr, Intr, LArg, LCallArg, LExpr, LProc, LProgram,
-    LSecDim, LSection, LStmt, Operand,
+    ArrayUse, BufferKind, Builtin, Cmp, Hoist, Intr, LArg, LCallArg, LExpr, LProc, LProgram,
+    LSecDim, LSection, LStmt, Op, Reg, RegSlot, TypedBlock, MAX_RANK,
 };
-use crate::value::{ArrayStorage, Scalar};
+use crate::value::{ArrayStorage, BoundsError, Scalar};
 use clustersim::{Bytes, Comm, RecvId, SimTime};
-use fir::ast::{BinOp, UnOp};
-use std::cell::RefCell;
+use fir::ast::{BinOp, ScalarType, UnOp};
+use std::cell::{RefCell, RefMut};
+use std::ops::{Index, IndexMut};
 use std::rc::Rc;
 
 macro_rules! rt_err {
@@ -71,11 +85,6 @@ impl LFrame {
         f
     }
 
-    #[inline(always)]
-    fn scalar(&self, _proc: &LProc, slot: u32) -> Scalar {
-        self.scalars[slot as usize]
-    }
-
     #[inline]
     fn array(&self, slot: u32) -> &BoundArray {
         self.arrays[slot as usize]
@@ -108,9 +117,13 @@ pub(crate) struct Interp<'p> {
     pending: Vec<(RecvId, PendingBuf)>,
     inflight: Vec<InflightRegion>,
     ops: u64,
-    /// Reusable operand stack and subscript buffer for block tapes.
-    stack: Vec<Scalar>,
-    idx_buf: Vec<i64>,
+    /// Typed-block register files and view buffer, reused across blocks.
+    regs: Box<Regs>,
+    views: Vec<View>,
+    /// Empty, kept for their allocations: a block's storage borrows go
+    /// into these (see [`recycle`]).
+    real_borrows: Vec<RefMut<'static, [f64]>>,
+    int_borrows: Vec<RefMut<'static, [i64]>>,
 }
 
 impl<'p> Interp<'p> {
@@ -122,8 +135,13 @@ impl<'p> Interp<'p> {
             pending: Vec::new(),
             inflight: Vec::new(),
             ops: 0,
-            stack: Vec::new(),
-            idx_buf: Vec::new(),
+            regs: Box::new(Regs {
+                f: File([0.0; 256]),
+                i: File([0; 256]),
+            }),
+            views: Vec::new(),
+            real_borrows: Vec::new(),
+            int_borrows: Vec::new(),
         }
     }
 
@@ -167,7 +185,7 @@ impl<'p> Interp<'p> {
         match e {
             LExpr::Int(v) => Scalar::Int(*v),
             LExpr::Real(v) => Scalar::Real(*v),
-            LExpr::Var(slot) => frame.scalar(proc, *slot),
+            LExpr::Var(slot) => frame.scalars[*slot as usize],
             // Folded/hoisted subtrees charge their historical node count
             // (minus the 1 charged on entry above) so virtual times match
             // the unoptimized walk exactly.
@@ -240,41 +258,8 @@ impl<'p> Interp<'p> {
         comm: &mut Comm,
     ) {
         match s {
-            LStmt::AssignScalar { slot, ty, value } => {
-                let v = {
-                    let f = frame.borrow();
-                    self.eval(proc, &f, value)
-                };
-                self.charge_stmt(comm);
-                frame.borrow_mut().scalars[*slot as usize] = v.convert_to(*ty);
-            }
-            LStmt::AssignArray {
-                slot,
-                name,
-                indices,
-                value,
-            } => {
-                let (idx, v) = {
-                    let f = frame.borrow();
-                    let idx = self.eval_indices(proc, &f, indices);
-                    let v = self.eval(proc, &f, value);
-                    (idx, v)
-                };
-                self.charge_stmt(comm);
-                let Some(slot) = slot else {
-                    rt_err!("`{name}` is not an array in this scope");
-                };
-                let (abs, alloc) = {
-                    let f = frame.borrow();
-                    let binding = f.array(*slot);
-                    match binding.set(name, &idx, v) {
-                        Ok(abs) => (abs, binding.handle.alloc_id()),
-                        Err(be) => rt_err!("{be}"),
-                    }
-                };
-                if self.opts.detect_buffer_reuse {
-                    self.check_inflight_write(alloc, abs, name, comm);
-                }
+            LStmt::AssignScalar { .. } | LStmt::AssignArray { .. } => {
+                self.assign(proc, frame, s, Some(comm))
             }
             LStmt::Do {
                 var,
@@ -286,25 +271,33 @@ impl<'p> Interp<'p> {
                 hoists,
                 iter_charge,
             } => {
-                let (lo, hi, st) =
-                    self.do_prologue(proc, frame, lower, upper, step.as_ref(), var_name, hoists, comm);
-                if let (Some(charge), [LStmt::Block { code, .. }]) =
+                let trips = self.do_prologue(
+                    proc,
+                    frame,
+                    *var,
+                    lower,
+                    upper,
+                    step.as_ref(),
+                    var_name,
+                    hoists,
+                    comm,
+                );
+                if let (Some(charge), [LStmt::Block { stmts, code, .. }]) =
                     (*iter_charge, body.as_slice())
                 {
-                    self.run_summarized_do(proc, frame, *var, code, lo, hi, st, charge, comm);
+                    self.run_summarized_do(proc, frame, code, stmts, trips, charge, comm);
                 } else {
-                    let mut i = lo;
-                    loop {
-                        if (st > 0 && i > hi) || (st < 0 && i < hi) {
-                            break;
-                        }
+                    let mut i = trips.lo;
+                    for _ in 0..trips.n {
                         frame.borrow_mut().scalars[*var as usize] = Scalar::Int(i);
                         for b in body {
                             self.exec_stmt(proc, frame, b, comm);
                         }
                         // loop increment + test bookkeeping
                         comm.advance(self.opts.cost.ns_per_stmt);
-                        i += st;
+                        // Past the last iteration this may wrap; the
+                        // wrapped value is never stored.
+                        i = i.wrapping_add(trips.st);
                     }
                 }
             }
@@ -323,16 +316,13 @@ impl<'p> Interp<'p> {
                     self.exec_stmt(proc, frame, b, comm);
                 }
             }
-            LStmt::Block { code, charge, .. } => {
+            LStmt::Block {
+                stmts,
+                code,
+                charge,
+            } => {
                 debug_assert_eq!(self.ops, 0, "blocks start at a charge boundary");
-                let mut stack = std::mem::take(&mut self.stack);
-                let mut idx = std::mem::take(&mut self.idx_buf);
-                {
-                    let mut f = frame.borrow_mut();
-                    run_tape(proc, &mut f, code, &mut stack, &mut idx);
-                }
-                self.stack = stack;
-                self.idx_buf = idx;
+                self.run_block(proc, frame, code, stmts, None);
                 // The per-statement charges were precomputed (and rounded
                 // per statement, exactly like `charge_stmt`) at opt time;
                 // one summarizing add replaces them all.
@@ -353,21 +343,75 @@ impl<'p> Interp<'p> {
         }
     }
 
+    /// One assignment statement on the tree-walker: evaluate (subscripts
+    /// first, then the value), charge the statement when `comm` is given,
+    /// store. A block walked as the typed form's fallback passes no
+    /// `comm`: its charge is the caller's precomputed total.
+    fn assign(&mut self, proc: &LProc, frame: &FrameCell, s: &LStmt, mut comm: Option<&mut Comm>) {
+        match s {
+            LStmt::AssignScalar { slot, ty, value } => {
+                let v = {
+                    let f = frame.borrow();
+                    self.eval(proc, &f, value)
+                };
+                if let Some(comm) = comm.as_mut() {
+                    self.charge_stmt(comm);
+                }
+                frame.borrow_mut().scalars[*slot as usize] = v.convert_to(*ty);
+            }
+            LStmt::AssignArray {
+                slot,
+                name,
+                indices,
+                value,
+            } => {
+                let (idx, v) = {
+                    let f = frame.borrow();
+                    let idx = self.eval_indices(proc, &f, indices);
+                    let v = self.eval(proc, &f, value);
+                    (idx, v)
+                };
+                if let Some(comm) = comm.as_mut() {
+                    self.charge_stmt(comm);
+                }
+                let Some(slot) = slot else {
+                    rt_err!("`{name}` is not an array in this scope");
+                };
+                let (abs, alloc) = {
+                    let f = frame.borrow();
+                    let binding = f.array(*slot);
+                    match binding.set(name, &idx, v) {
+                        Ok(abs) => (abs, binding.handle.alloc_id()),
+                        Err(be) => rt_err!("{be}"),
+                    }
+                };
+                if let (Some(comm), true) = (comm, self.opts.detect_buffer_reuse) {
+                    self.check_inflight_write(alloc, abs, name, comm);
+                }
+            }
+            LStmt::SetVar { slot, v, .. } => {
+                frame.borrow_mut().scalars[*slot as usize] = Scalar::Int(*v);
+            }
+            other => unreachable!("not an assignment: {other:?}"),
+        }
+    }
+
     /// A `do` statement's entry sequence, shared by both engines: evaluate
     /// the bounds, reject a zero step, charge the statement, cache the
-    /// hoisted invariants. Returns `(lo, hi, st)`.
+    /// hoisted invariants. Returns the loop's iteration space.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn do_prologue(
         &mut self,
         proc: &'p LProc,
         frame: &FrameCell,
+        var: u32,
         lower: &'p LExpr,
         upper: &'p LExpr,
         step: Option<&'p LExpr>,
         var_name: &str,
         hoists: &'p [Hoist],
         comm: &mut Comm,
-    ) -> (i64, i64, i64) {
+    ) -> Trips {
         let (lo, hi, st) = {
             let f = frame.borrow();
             let lo = self.eval(proc, &f, lower).expect_int("loop bound");
@@ -383,53 +427,128 @@ impl<'p> Interp<'p> {
         }
         self.charge_stmt(comm);
         self.eval_hoists(proc, frame, hoists);
-        (lo, hi, st)
+        Trips::new(var, lo, hi, st)
     }
 
-    /// Whole-body-block fast path, shared by both engines: hold the frame
-    /// borrow and scratch buffers across iterations, and charge
-    /// `iterations × per-iteration` in ONE add at the end — integer
-    /// multiplication distributes over the addition the tree-walker
-    /// performed, and no statement in the block can observe the clock, so
-    /// virtual times are unchanged to the bit. Contains no blocking point,
-    /// so the resumable engine runs it inline without suspending.
+    /// Whole-body-block fast path, shared by both engines: set the block
+    /// up once for the whole loop and charge `iterations × per-iteration`
+    /// in ONE add at the end — integer multiplication distributes over
+    /// the addition the tree-walker performed, and no statement in the
+    /// block can observe the clock, so virtual times are unchanged to the
+    /// bit. Contains no blocking point, so the resumable engine runs it
+    /// inline without suspending.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_summarized_do(
         &mut self,
         proc: &'p LProc,
         frame: &FrameCell,
-        var: u32,
-        code: &'p [Instr],
-        lo: i64,
-        hi: i64,
-        st: i64,
+        block: &TypedBlock,
+        stmts: &[LStmt],
+        trips: Trips,
         charge: u64,
         comm: &mut Comm,
     ) {
-        let mut stack = std::mem::take(&mut self.stack);
-        let mut idx = std::mem::take(&mut self.idx_buf);
-        let mut iters: u64 = 0;
-        {
-            let mut f = frame.borrow_mut();
-            let mut i = lo;
-            loop {
-                if (st > 0 && i > hi) || (st < 0 && i < hi) {
-                    break;
+        if trips.n == 0 {
+            return;
+        }
+        self.run_block(proc, frame, block, stmts, Some(trips));
+        let total = u64::try_from(trips.n)
+            .ok()
+            .and_then(|n| charge.checked_mul(n))
+            .expect("SimTime overflow in summarized loop");
+        comm.advance_exact(SimTime::from_ns(total));
+    }
+
+    /// Run a typed block once, or — given `trips` (at least one) — as the
+    /// whole body of a summarized loop. Views and registers are set up
+    /// once either way, with one `RefCell` borrow per *distinct* storage
+    /// held for the whole run (windows over one array share it), and the
+    /// written slots are stored back at the end. If a view's storage does
+    /// not have the element type the block was compiled for, the block's
+    /// statements are walked instead, uncharged: the caller charges the
+    /// precomputed total either way.
+    fn run_block(
+        &mut self,
+        proc: &LProc,
+        frame: &FrameCell,
+        block: &TypedBlock,
+        stmts: &[LStmt],
+        trips: Option<Trips>,
+    ) {
+        let typed = {
+            let f = frame.borrow();
+            let mut views = std::mem::take(&mut self.views);
+            let mut reals = recycle(std::mem::take(&mut self.real_borrows));
+            let mut ints = recycle(std::mem::take(&mut self.int_borrows));
+            let ready = bind_views(&f, block, &mut views, &mut reals, &mut ints)
+                && load_regs(&f, block, &mut self.regs);
+            if ready {
+                let mut bank = Bank {
+                    views: &views,
+                    reals: &mut reals,
+                    ints: &mut ints,
+                    arrays: &block.arrays,
+                };
+                match trips {
+                    None => run_ops(&block.code, &mut self.regs, &mut bank),
+                    Some(t) => {
+                        let mut i = t.lo;
+                        for _ in 0..t.n {
+                            if let Some(r) = block.loop_var {
+                                self.regs.i[r] = i;
+                            }
+                            run_ops(&block.code, &mut self.regs, &mut bank);
+                            // Wraps at most past the last iteration,
+                            // whose value is never used.
+                            i = i.wrapping_add(t.st);
+                        }
+                    }
                 }
-                f.scalars[var as usize] = Scalar::Int(i);
-                run_tape(proc, &mut f, code, &mut stack, &mut idx);
-                iters += 1;
-                i += st;
+            }
+            reals.clear();
+            ints.clear();
+            self.real_borrows = recycle(reals);
+            self.int_borrows = recycle(ints);
+            self.views = views;
+            ready
+        };
+        if typed {
+            let mut f = frame.borrow_mut();
+            // The loop variable first: an unrolled inner loop reusing it
+            // writes it after the iteration start, so the block's value
+            // wins, as it does on the tree-walker.
+            if let Some(t) = trips {
+                f.scalars[t.var as usize] = Scalar::Int(t.last());
+            }
+            for w in block.written.iter() {
+                f.scalars[w.slot as usize] = if w.real {
+                    Scalar::Real(self.regs.f[w.reg])
+                } else {
+                    Scalar::Int(self.regs.i[w.reg])
+                };
+            }
+            return;
+        }
+        match trips {
+            None => self.walk_uncharged(proc, frame, stmts),
+            Some(t) => {
+                let mut i = t.lo;
+                for _ in 0..t.n {
+                    frame.borrow_mut().scalars[t.var as usize] = Scalar::Int(i);
+                    self.walk_uncharged(proc, frame, stmts);
+                    i = i.wrapping_add(t.st);
+                }
             }
         }
-        self.stack = stack;
-        self.idx_buf = idx;
-        if iters > 0 {
-            let total = charge
-                .checked_mul(iters)
-                .expect("SimTime overflow in summarized loop");
-            comm.advance_exact(SimTime::from_ns(total));
+    }
+
+    /// The dynamic fallback: a block's statements on the tree-walker,
+    /// uncharged.
+    fn walk_uncharged(&mut self, proc: &LProc, frame: &FrameCell, stmts: &[LStmt]) {
+        for s in stmts {
+            self.assign(proc, frame, s, None);
         }
+        self.ops = 0;
     }
 
     /// Cache a loop's invariant subtrees at loop entry, *uncharged*: the
@@ -991,276 +1110,313 @@ pub(crate) fn try_intrinsic(op: Intr, name: &str, vals: &[Scalar]) -> Result<Sca
     })
 }
 
-/// Run one summarized block's flat postfix tape. Charging is the caller's
-/// one precomputed add, so no op counting happens here; the instruction
-/// order reproduces the tree-walker's evaluation order exactly, including
-/// where any runtime error fires. Array stores are only compiled into
-/// tapes when buffer-reuse detection is off (the detector compares
-/// against `now()`, which mid-block sits before the summarized charge).
-/// A free function (no `Interp` receiver) so loop drivers can hold the
-/// frame borrow and scratch buffers across iterations.
-fn run_tape(
-    proc: &LProc,
-    f: &mut LFrame,
-    code: &[Instr],
-    stack: &mut Vec<Scalar>,
-    idx: &mut Vec<i64>,
-) {
-    for ins in code {
-        match ins {
-            Instr::PushInt(v) => stack.push(Scalar::Int(*v)),
-            Instr::PushReal(v) => stack.push(Scalar::Real(*v)),
-            Instr::PushConst(v) => stack.push(*v),
-            Instr::PushVar(slot) => stack.push(f.scalar(proc, *slot)),
-            Instr::PushHoisted(slot) => stack.push(f.hoisted[*slot as usize]),
-            Instr::ExpectIdx => {
-                let v = stack
-                    .pop()
-                    .expect("tape balance")
-                    .expect_int("array subscript");
-                stack.push(Scalar::Int(v));
+/// A `do` loop's iteration space, computed once at entry: Fortran's trip
+/// count `n` — the values `lo, lo + st, …` that lie within the bounds —
+/// in `i128` arithmetic, so a loop ending at `i64::MAX` (or starting its
+/// descent at `i64::MIN`) runs its iterations and stops instead of
+/// wrapping its counter around.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Trips {
+    pub var: u32,
+    pub lo: i64,
+    pub st: i64,
+    pub n: u128,
+}
+
+impl Trips {
+    pub(crate) fn new(var: u32, lo: i64, hi: i64, st: i64) -> Trips {
+        let n = if (st > 0 && lo > hi) || (st < 0 && lo < hi) {
+            0
+        } else {
+            ((i128::from(hi) - i128::from(lo)) / i128::from(st) + 1) as u128
+        };
+        Trips { var, lo, st, n }
+    }
+
+    /// The loop variable's value in the last iteration (`n ≥ 1`).
+    fn last(&self) -> i64 {
+        (i128::from(self.lo) + (self.n as i128 - 1) * i128::from(self.st)) as i64
+    }
+}
+
+/// One typed register file: 256 plain values indexed by a [`Reg`].
+pub(crate) struct File<T>([T; 256]);
+
+impl<T> Index<Reg> for File<T> {
+    type Output = T;
+    #[inline(always)]
+    fn index(&self, r: Reg) -> &T {
+        &self.0[r as usize]
+    }
+}
+
+impl<T> IndexMut<Reg> for File<T> {
+    #[inline(always)]
+    fn index_mut(&mut self, r: Reg) -> &mut T {
+        &mut self.0[r as usize]
+    }
+}
+
+/// The registers a typed block runs on.
+pub(crate) struct Regs {
+    f: File<f64>,
+    i: File<i64>,
+}
+
+/// One dimension of a view: the binding's declared bounds and stride.
+#[derive(Debug, Clone, Copy, Default)]
+struct Dim {
+    lo: i64,
+    hi: i64,
+    stride: usize,
+}
+
+/// An array operand resolved at block entry: which borrowed storage
+/// (`store` indexes the real or integer borrows), where the binding's
+/// window starts in it, and its shape.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct View {
+    store: usize,
+    base: usize,
+    rank: usize,
+    dims: [Dim; MAX_RANK],
+}
+
+/// Everything array ops reach while a block runs.
+struct Bank<'b, 'f> {
+    views: &'b [View],
+    reals: &'b mut [RefMut<'f, [f64]>],
+    ints: &'b mut [RefMut<'f, [i64]>],
+    arrays: &'b [ArrayUse],
+}
+
+impl Bank<'_, '_> {
+    /// Storage index and flat offset of one element: the checks and
+    /// arithmetic of `BoundArray::flat`, dimension by dimension, with the
+    /// same error for the first subscript out of range.
+    #[inline(always)]
+    fn locate(&self, v: u8, idx: &[Reg; MAX_RANK], r: &File<i64>) -> (usize, usize) {
+        let view = &self.views[v as usize];
+        let mut off = view.base;
+        for (k, (d, &x)) in view.dims[..view.rank].iter().zip(idx).enumerate() {
+            let ix = r[x];
+            if ix < d.lo || ix > d.hi {
+                bounds_fail(&self.arrays[v as usize].name, k, ix, d);
             }
-            Instr::PushIdxVar(slot) => {
-                let v = f.scalar(proc, *slot).expect_int("array subscript");
-                stack.push(Scalar::Int(v));
+            off += (ix - d.lo) as usize * d.stride;
+        }
+        (view.store, off)
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn bounds_fail(array: &str, dim: usize, index: i64, d: &Dim) -> ! {
+    let be = BoundsError {
+        array: array.to_string(),
+        dim,
+        index,
+        lower: d.lo,
+        upper: d.hi,
+    };
+    rt_err!("{be}")
+}
+
+#[cold]
+#[inline(never)]
+fn op_fail(msg: &str) -> ! {
+    rt_err!("{msg}")
+}
+
+/// An empty vector of borrows, retyped to another lifetime. The in-place
+/// `collect` keeps the allocation (the element layout is the same), so
+/// binding a block's views allocates only while the buffers grow.
+fn recycle<'a, 'b, T: ?Sized>(v: Vec<RefMut<'a, T>>) -> Vec<RefMut<'b, T>> {
+    debug_assert!(v.is_empty(), "only empty vectors are recycled");
+    v.into_iter().map(|_| unreachable!("the vector is empty")).collect()
+}
+
+/// Resolve every array a typed block addresses to a [`View`], taking one
+/// `RefCell` borrow per distinct storage — windows over one array share
+/// it, so aliased parameters never double-borrow. `false` if a storage's
+/// element type (or a binding's rank) is not what the block was compiled
+/// for: sequence association lets a caller pass either type.
+fn bind_views<'f>(
+    f: &'f LFrame,
+    block: &TypedBlock,
+    views: &mut Vec<View>,
+    reals: &mut Vec<RefMut<'f, [f64]>>,
+    ints: &mut Vec<RefMut<'f, [i64]>>,
+) -> bool {
+    views.clear();
+    for (n, u) in block.arrays.iter().enumerate() {
+        let b = f.array(u.slot);
+        if b.rank() != usize::from(u.rank) {
+            return false;
+        }
+        let shared = block.arrays[..n]
+            .iter()
+            .position(|p| Rc::ptr_eq(&f.array(p.slot).handle.storage, &b.handle.storage));
+        let store = match shared {
+            Some(j) if block.arrays[j].real == u.real => views[j].store,
+            Some(_) => return false,
+            None => {
+                let st = b.handle.storage.borrow_mut();
+                match (u.real, st.ty()) {
+                    (true, ScalarType::Real) => {
+                        reals.push(RefMut::map(st, |s| match &mut s.data {
+                            crate::value::Data::Real(v) => v.as_mut_slice(),
+                            crate::value::Data::Int(_) => unreachable!("type checked above"),
+                        }));
+                        reals.len() - 1
+                    }
+                    (false, ScalarType::Integer) => {
+                        ints.push(RefMut::map(st, |s| match &mut s.data {
+                            crate::value::Data::Int(v) => v.as_mut_slice(),
+                            crate::value::Data::Real(_) => unreachable!("type checked above"),
+                        }));
+                        ints.len() - 1
+                    }
+                    _ => return false,
+                }
             }
-            Instr::Unary(op) => {
-                let v = stack.pop().expect("tape balance");
-                stack.push(match op {
-                    UnOp::Neg => match v {
-                        Scalar::Int(x) => Scalar::Int(-x),
-                        Scalar::Real(x) => Scalar::Real(-x),
-                    },
-                    UnOp::Not => Scalar::Int(i64::from(!v.is_true())),
-                });
+        };
+        let mut dims = [Dim::default(); MAX_RANK];
+        for (d, (&(lo, hi), &stride)) in dims.iter_mut().zip(b.bounds().iter().zip(b.strides())) {
+            *d = Dim { lo, hi, stride };
+        }
+        views.push(View {
+            store,
+            base: b.handle.offset,
+            rank: b.rank(),
+            dims,
+        });
+    }
+    true
+}
+
+/// Load a block's registers: its constants, then every scalar slot and
+/// hoist it uses. `false` if a value's tag is not its static type (slot
+/// types are fixed by declaration, so validated programs never hit it).
+fn load_regs(f: &LFrame, block: &TypedBlock, r: &mut Regs) -> bool {
+    for &(reg, v) in block.fconsts.iter() {
+        r.f[reg] = v;
+    }
+    for &(reg, v) in block.iconsts.iter() {
+        r.i[reg] = v;
+    }
+    let load = |r: &mut Regs, s: &RegSlot, v: Scalar| match (s.real, v) {
+        (true, Scalar::Real(x)) => {
+            r.f[s.reg] = x;
+            true
+        }
+        (false, Scalar::Int(x)) => {
+            r.i[s.reg] = x;
+            true
+        }
+        _ => false,
+    };
+    block
+        .slots
+        .iter()
+        .all(|s| load(r, s, f.scalars[s.slot as usize]))
+        && block
+            .hoists
+            .iter()
+            .all(|h| load(r, h, f.hoisted[h.slot as usize]))
+}
+
+fn cmp<T: PartialOrd>(op: Cmp, x: T, y: T) -> i64 {
+    i64::from(match op {
+        Cmp::Eq => x == y,
+        Cmp::Ne => x != y,
+        Cmp::Lt => x < y,
+        Cmp::Le => x <= y,
+        Cmp::Gt => x > y,
+        Cmp::Ge => x >= y,
+    })
+}
+
+/// Run a typed block's ops once. Charging is the caller's precomputed
+/// add; each op is the `try_binop`/`try_intrinsic` arm for its static
+/// operand types, so results are bit-identical to the tree-walker's and
+/// the first runtime error is the same one, with the same text.
+fn run_ops(code: &[Op], r: &mut Regs, bank: &mut Bank) {
+    let Regs { f, i } = r;
+    for op in code {
+        match *op {
+            Op::FMov { d, a } => f[d] = f[a],
+            Op::IMov { d, a } => i[d] = i[a],
+            Op::IToF { d, a } => f[d] = i[a] as f64,
+            Op::FToI { d, a } => i[d] = f[a].trunc() as i64,
+            Op::FAdd { d, a, b } => f[d] = f[a] + f[b],
+            Op::FSub { d, a, b } => f[d] = f[a] - f[b],
+            Op::FMul { d, a, b } => f[d] = f[a] * f[b],
+            Op::FDiv { d, a, b } => f[d] = f[a] / f[b],
+            Op::FPow { d, a, b } => f[d] = f[a].powf(f[b]),
+            Op::FAddI { d, a, b } => f[d] = f[a] + i[b] as f64,
+            Op::FSubI { d, a, b } => f[d] = f[a] - i[b] as f64,
+            Op::FMulI { d, a, b } => f[d] = f[a] * i[b] as f64,
+            Op::FDivI { d, a, b } => f[d] = f[a] / i[b] as f64,
+            Op::FNeg { d, a } => f[d] = -f[a],
+            Op::FAbs { d, a } => f[d] = f[a].abs(),
+            Op::FSqrt { d, a } => f[d] = f[a].sqrt(),
+            Op::FSin { d, a } => f[d] = f[a].sin(),
+            Op::FCos { d, a } => f[d] = f[a].cos(),
+            Op::FExp { d, a } => f[d] = f[a].exp(),
+            Op::FLog { d, a } => f[d] = f[a].ln(),
+            Op::FMin { d, a, b } => f[d] = f64::min(f[a], f[b]),
+            Op::FMax { d, a, b } => f[d] = f64::max(f[a], f[b]),
+            Op::FFloor { d, a } => i[d] = f[a].floor() as i64,
+            Op::FTruth { d, a } => i[d] = i64::from(f[a] != 0.0),
+            Op::FCmp { op, d, a, b } => i[d] = cmp(op, f[a], f[b]),
+            Op::IAdd { d, a, b } => i[d] = i[a].wrapping_add(i[b]),
+            Op::ISub { d, a, b } => i[d] = i[a].wrapping_sub(i[b]),
+            Op::IMul { d, a, b } => i[d] = i[a].wrapping_mul(i[b]),
+            Op::IDiv { d, a, b } => {
+                if i[b] == 0 {
+                    op_fail("integer division by zero");
+                }
+                i[d] = i[a].wrapping_div(i[b]);
             }
-            Instr::Binary(op) => {
-                let b = stack.pop().expect("tape balance");
-                let a = stack.pop().expect("tape balance");
-                stack.push(eval_binop(*op, a, b));
-            }
-            Instr::BinRhsVar { op, slot } => {
-                let a = stack.pop().expect("tape balance");
-                let b = f.scalar(proc, *slot);
-                stack.push(eval_binop(*op, a, b));
-            }
-            Instr::BinRhsConst { op, v } => {
-                let a = stack.pop().expect("tape balance");
-                stack.push(eval_binop(*op, a, *v));
-            }
-            Instr::BinRhsHoisted { op, slot } => {
-                let a = stack.pop().expect("tape balance");
-                let b = f.hoisted[*slot as usize];
-                stack.push(eval_binop(*op, a, b));
-            }
-            Instr::Intrinsic { op, argc, name } => {
-                let base = stack.len() - *argc as usize;
-                let r = match try_intrinsic(*op, name, &stack[base..]) {
+            Op::IPow { d, a, b } => {
+                i[d] = match try_int_pow(i[a], i[b]) {
                     Ok(v) => v,
-                    Err(msg) => rt_err!("{msg}"),
-                };
-                stack.truncate(base);
-                stack.push(r);
-            }
-            Instr::LoadArray { slot, argc, name } => {
-                let base = stack.len() - *argc as usize;
-                idx.clear();
-                idx.extend(stack[base..].iter().map(|v| match v {
-                    Scalar::Int(i) => *i,
-                    Scalar::Real(_) => unreachable!("ExpectIdx converted"),
-                }));
-                stack.truncate(base);
-                match f.array(*slot).get(name, idx) {
-                    Ok(v) => stack.push(v),
-                    Err(be) => rt_err!("{be}"),
+                    Err(msg) => op_fail(&msg),
                 }
             }
-            Instr::StoreScalar { slot, ty } => {
-                let v = stack.pop().expect("tape balance");
-                f.scalars[*slot as usize] = v.convert_to(*ty);
-            }
-            Instr::StoreArray { slot, argc, name } => {
-                let v = stack.pop().expect("tape balance");
-                let base = stack.len() - *argc as usize;
-                idx.clear();
-                idx.extend(stack[base..].iter().map(|v| match v {
-                    Scalar::Int(i) => *i,
-                    Scalar::Real(_) => unreachable!("ExpectIdx converted"),
-                }));
-                stack.truncate(base);
-                if let Err(be) = f.array(*slot).set(name, idx, v) {
-                    rt_err!("{be}");
+            Op::IMod { d, a, b } => {
+                if i[b] == 0 {
+                    op_fail("mod by zero");
                 }
+                i[d] = i[a] % i[b];
             }
-            Instr::SetVar { slot, v } => {
-                f.scalars[*slot as usize] = Scalar::Int(*v);
+            Op::INeg { d, a } => i[d] = -i[a],
+            Op::IAbs { d, a } => i[d] = i[a].abs(),
+            Op::IMin { d, a, b } => i[d] = i[a].min(i[b]),
+            Op::IMax { d, a, b } => i[d] = i[a].max(i[b]),
+            Op::ICmp { op, d, a, b } => i[d] = cmp(op, i[a], i[b]),
+            Op::IAnd { d, a, b } => i[d] = i64::from(i[a] != 0 && i[b] != 0),
+            Op::IOr { d, a, b } => i[d] = i64::from(i[a] != 0 || i[b] != 0),
+            Op::INot { d, a } => i[d] = i64::from(i[a] == 0),
+            Op::LoadF { d, v, idx } => {
+                let (st, off) = bank.locate(v, &idx, i);
+                f[d] = bank.reals[st][off];
             }
-            Instr::ChainScalar {
-                dst,
-                ty,
-                first,
-                rest,
-                mono,
-            } => {
-                let v = eval_chain_mono(proc, f, first, rest, *mono);
-                f.scalars[*dst as usize] = v.convert_to(*ty);
+            Op::LoadI { d, v, idx } => {
+                let (st, off) = bank.locate(v, &idx, i);
+                i[d] = bank.ints[st][off];
             }
-            Instr::ChainArray {
-                slot,
-                name,
-                idxs,
-                first,
-                rest,
-                mono,
-            } => {
-                // Indices first, value second — `eval_indices` order.
-                let mut flat = [0i64; 4];
-                let rank = idxs.len();
-                debug_assert!(rank <= 4, "chains cover rank <= 4 stores");
-                for (d, o) in idxs.iter().enumerate() {
-                    flat[d] = fetch_operand(proc, f, o).expect_int("array subscript");
-                }
-                let v = eval_chain_mono(proc, f, first, rest, *mono);
-                if let Err(be) = f.array(*slot).set(name, &flat[..rank], v) {
-                    rt_err!("{be}");
-                }
+            Op::StoreF { s, v, idx } => {
+                let (st, off) = bank.locate(v, &idx, i);
+                bank.reals[st][off] = f[s];
             }
-            Instr::ErrNotArray { name } => {
-                rt_err!("`{name}` is not an array in this scope")
+            Op::StoreI { s, v, idx } => {
+                let (st, off) = bank.locate(v, &idx, i);
+                bank.ints[st][off] = i[s];
             }
         }
     }
-    debug_assert!(stack.is_empty(), "tape leaves a balanced stack");
-}
-
-/// Fetch one chain operand — the lean recursive mirror of `eval`: same
-/// evaluation order, same runtime errors, no op counting (the block's
-/// charge is precomputed), no shared buffers (each load level resolves
-/// its subscripts into its own fixed array).
-fn fetch_operand(proc: &LProc, f: &LFrame, o: &Operand) -> Scalar {
-    match o {
-        Operand::Const(v) => *v,
-        Operand::Var(slot) => f.scalar(proc, *slot),
-        Operand::Hoisted(slot) => f.hoisted[*slot as usize],
-        Operand::Load { slot, idxs, name } => {
-            let mut flat = [0i64; 8];
-            for (d, io) in idxs.iter().enumerate() {
-                flat[d] = fetch_operand(proc, f, io).expect_int("array subscript");
-            }
-            match f.array(*slot).get(name, &flat[..idxs.len()]) {
-                Ok(v) => v,
-                Err(be) => rt_err!("{be}"),
-            }
-        }
-        Operand::LoadErr { idxs, name } => {
-            for io in idxs.iter() {
-                fetch_operand(proc, f, io).expect_int("array subscript");
-            }
-            rt_err!("`{name}` is not an array in this scope")
-        }
-        Operand::Un { op, operand } => {
-            let v = fetch_operand(proc, f, operand);
-            match op {
-                UnOp::Neg => match v {
-                    Scalar::Int(x) => Scalar::Int(-x),
-                    Scalar::Real(x) => Scalar::Real(-x),
-                },
-                UnOp::Not => Scalar::Int(i64::from(!v.is_true())),
-            }
-        }
-        Operand::Bin { op, a, b } => {
-            let x = fetch_operand(proc, f, a);
-            let y = fetch_operand(proc, f, b);
-            eval_binop(*op, x, y)
-        }
-        Operand::Intr { op, name, args } => {
-            let mut vals = [Scalar::Int(0); 8];
-            for (i, a) in args.iter().enumerate() {
-                vals[i] = fetch_operand(proc, f, a);
-            }
-            match try_intrinsic(*op, name, &vals[..args.len()]) {
-                Ok(v) => v,
-                Err(msg) => rt_err!("{msg}"),
-            }
-        }
-    }
-}
-
-/// Evaluate a chain: `first`, then each (op, operand) left to right — the
-/// tree-walker's exact visit order for a left-leaning binary chain.
-#[inline(always)]
-fn eval_chain(proc: &LProc, f: &LFrame, first: &Operand, rest: &[(BinOp, Operand)]) -> Scalar {
-    let mut acc = fetch_operand(proc, f, first);
-    for (op, o) in rest {
-        let b = fetch_operand(proc, f, o);
-        acc = eval_binop(*op, acc, b);
-    }
-    acc
-}
-
-/// Dispatch on the chain's static monomorphism verdict
-/// ([`crate::typeck`]). The typed loops replicate `eval_binop`'s
-/// monomorphic arms bit-for-bit; if a fetched tag ever contradicts the
-/// static verdict they fall back to the general evaluator (operand
-/// fetching is pure, so re-evaluating is safe), making a wrong verdict a
-/// performance bug at worst, never a correctness bug.
-#[inline(always)]
-fn eval_chain_mono(
-    proc: &LProc,
-    f: &LFrame,
-    first: &Operand,
-    rest: &[(BinOp, Operand)],
-    mono: ChainTy,
-) -> Scalar {
-    match mono {
-        ChainTy::Dyn => eval_chain(proc, f, first, rest),
-        ChainTy::Real => eval_chain_real(proc, f, first, rest),
-        ChainTy::Int => eval_chain_int(proc, f, first, rest),
-    }
-}
-
-/// Real-accumulator chain: the verdict guarantees the first operand is
-/// real and every operator is `+ - * /`, so after each step the
-/// accumulator stays real and `eval_binop` would take the
-/// `(Real, Real)`/`(Real, Int)` arms — exactly `acc op b.as_real()`.
-#[inline(always)]
-fn eval_chain_real(proc: &LProc, f: &LFrame, first: &Operand, rest: &[(BinOp, Operand)]) -> Scalar {
-    let Scalar::Real(mut acc) = fetch_operand(proc, f, first) else {
-        return eval_chain(proc, f, first, rest);
-    };
-    for (op, o) in rest {
-        let b = fetch_operand(proc, f, o).as_real();
-        acc = match op {
-            BinOp::Add => acc + b,
-            BinOp::Sub => acc - b,
-            BinOp::Mul => acc * b,
-            BinOp::Div => acc / b,
-            _ => unreachable!("Real verdicts carry only + - * / (typeck::chain_mono)"),
-        };
-    }
-    Scalar::Real(acc)
-}
-
-/// Integer-accumulator chain: the verdict guarantees every operand is an
-/// integer and every operator is `+ - *` — `eval_binop`'s wrapping
-/// `(Int, Int)` arms, which cannot error.
-#[inline(always)]
-fn eval_chain_int(proc: &LProc, f: &LFrame, first: &Operand, rest: &[(BinOp, Operand)]) -> Scalar {
-    let Scalar::Int(mut acc) = fetch_operand(proc, f, first) else {
-        return eval_chain(proc, f, first, rest);
-    };
-    for (op, o) in rest {
-        let Scalar::Int(b) = fetch_operand(proc, f, o) else {
-            return eval_chain(proc, f, first, rest);
-        };
-        acc = match op {
-            BinOp::Add => acc.wrapping_add(b),
-            BinOp::Sub => acc.wrapping_sub(b),
-            BinOp::Mul => acc.wrapping_mul(b),
-            _ => unreachable!("Int verdicts carry only + - * (typeck::chain_mono)"),
-        };
-    }
-    Scalar::Int(acc)
 }
 
 /// The hot arithmetic cases, inlined — exactly [`try_binop`]'s semantics
@@ -1467,6 +1623,17 @@ mod tests {
             eval_binop(BinOp::Or, Scalar::Int(1), Scalar::Int(0)),
             Scalar::Int(1)
         );
+    }
+
+    #[test]
+    fn recycled_borrow_buffers_keep_their_allocation() {
+        let cell = RefCell::new(vec![1.0f64, 2.0]);
+        let mut v: Vec<RefMut<'_, [f64]>> = Vec::with_capacity(4);
+        v.push(RefMut::map(cell.borrow_mut(), |x| x.as_mut_slice()));
+        v.clear();
+        let w: Vec<RefMut<'static, [f64]>> = recycle(v);
+        assert!(w.capacity() >= 4);
+        assert!(cell.try_borrow_mut().is_ok(), "the borrow was released");
     }
 
     #[test]

@@ -246,15 +246,14 @@ pub(crate) enum LStmt {
     /// branch, call, or loop) whose cost is charged in one precomputed add
     /// instead of per statement ([`crate::opt`]). `charge` is the sum of
     /// the per-statement rounded charges the tree-walker would have made;
-    /// `code` is the flat postfix compilation of `stmts` the executor
-    /// actually runs (same evaluation order, no recursion).
+    /// `code` is the typed register form of `stmts` the executor runs.
     Block {
-        /// The statements the tape was compiled from — the executor runs
-        /// `code`, but the structured form is what the opt unit tests (and
-        /// anyone debugging a tape) inspect.
-        #[allow(dead_code)]
+        /// The statements `code` was compiled from: what the opt unit
+        /// tests inspect, and what the executor walks (uncharged) when a
+        /// parameter array's storage turns out not to have its declared
+        /// element type (sequence association is untyped).
         stmts: Vec<LStmt>,
-        code: Vec<Instr>,
+        code: TypedBlock,
         charge: u64,
     },
     /// An unrolled loop's per-iteration head ([`crate::opt`]): store the
@@ -281,148 +280,142 @@ pub(crate) enum LStmt {
     },
 }
 
-/// One instruction of a summarized block's flat postfix tape
-/// ([`crate::opt`] compiles, the executor runs). Evaluation order — and
-/// therefore the order and text of any runtime error — is exactly the
-/// tree-walker's post-order walk; costs are not tracked here because the
-/// block's total charge is precomputed.
-#[derive(Debug, Clone)]
-pub(crate) enum Instr {
-    PushInt(i64),
-    PushReal(f64),
-    PushConst(Scalar),
-    PushVar(u32),
-    PushHoisted(u32),
-    /// Convert the just-pushed subscript to an integer (the tree-walker's
-    /// `expect_int("array subscript")`, applied per index as evaluated).
-    ExpectIdx,
-    Unary(UnOp),
-    Binary(BinOp),
-    /// Peephole fusions of a leaf push followed by `Binary` (the leaf is
-    /// the right operand) or by `ExpectIdx` — one dispatch instead of two.
-    BinRhsVar {
-        op: BinOp,
-        slot: u32,
-    },
-    BinRhsConst {
-        op: BinOp,
-        v: Scalar,
-    },
-    BinRhsHoisted {
-        op: BinOp,
-        slot: u32,
-    },
-    PushIdxVar(u32),
-    Intrinsic {
-        op: Intr,
-        argc: u16,
-        name: Box<str>,
-    },
-    /// Pop `argc` integer indices, load the element.
-    LoadArray {
-        slot: u32,
-        argc: u16,
-        name: Box<str>,
-    },
-    /// Pop the value, convert, store into a scalar slot.
-    StoreScalar {
-        slot: u32,
-        ty: ScalarType,
-    },
-    /// Pop the value, then `argc` integer indices, store the element.
-    StoreArray {
-        slot: u32,
-        argc: u16,
-        name: Box<str>,
-    },
-    /// Store the unrolled loop variable ([`LStmt::SetVar`]).
-    SetVar {
-        slot: u32,
-        v: i64,
-    },
-    /// A whole `x = a op b op c …` assignment as ONE instruction: a
-    /// left-leaning binary chain whose right operands are all leaves (or
-    /// single element loads), evaluated by an internal well-predicted
-    /// loop instead of one dispatched instruction per node. Evaluation
-    /// order is the tree-walker's exactly: first, then each (op, operand)
-    /// left to right. `mono` is the static type-inference verdict
-    /// ([`crate::typeck`]): a monomorphic chain runs a typed accumulator
-    /// loop that skips the per-operation value-tag dispatch.
-    ChainScalar {
-        dst: u32,
-        ty: ScalarType,
-        first: Operand,
-        rest: Box<[(BinOp, Operand)]>,
-        mono: ChainTy,
-    },
-    /// `a(i, j, …) = chain` as one instruction; `idxs` (all leaves)
-    /// evaluate first, like the tree-walker's `eval_indices`.
-    ChainArray {
-        slot: u32,
-        name: Box<str>,
-        idxs: Box<[Operand]>,
-        first: Operand,
-        rest: Box<[(BinOp, Operand)]>,
-        mono: ChainTy,
-    },
-    /// The "`name` is not an array in this scope" runtime error, after its
-    /// operands evaluated (parity with the tree-walker's check order).
-    ErrNotArray {
-        name: Box<str>,
-    },
-}
+/// Index into one of a typed block's two register files (`f64` and
+/// `i64`). Both files hold 256 registers, so a `Reg` indexes them without
+/// a bounds check.
+pub(crate) type Reg = u8;
 
-/// Static monomorphism verdict for one chain instruction, computed by
-/// [`crate::typeck`] from the slot-level type lattice
-/// ([`analyzer::types`]). `Dyn` keeps the general tag-dispatching
-/// evaluator; `Int`/`Real` run a typed accumulator loop whose arithmetic
-/// is bit-for-bit the corresponding `eval_binop` arms — virtual times are
-/// unaffected either way because block charges are precomputed
-/// (DESIGN.md §3).
+/// Highest array rank a typed block addresses; a statement touching a
+/// higher-rank array stays on the tree-walker.
+pub(crate) const MAX_RANK: usize = 4;
+
+/// A frame location a typed block keeps in a register while it runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ChainTy {
-    Dyn,
-    Int,
-    Real,
+pub(crate) struct RegSlot {
+    pub slot: u32,
+    pub real: bool,
+    pub reg: Reg,
 }
 
-/// A chain-instruction operand: an expression evaluated by the lean
-/// recursive fetcher (`exec::fetch_operand`) — a 1:1 image of [`LExpr`]
-/// minus names/weights, so evaluation order and every runtime error are
-/// the tree-walker's exactly, without op counting or `Option` frames.
+/// One array a typed block addresses, resolved to a view once per block
+/// (or summarized loop) entry.
 #[derive(Debug, Clone)]
-pub(crate) enum Operand {
-    Const(Scalar),
-    Var(u32),
-    Hoisted(u32),
-    /// One array element; subscripts convert to integers as evaluated
-    /// (`eval_indices` order). Rank ≤ 8 enforced at compile time.
-    Load {
-        slot: u32,
-        idxs: Box<[Operand]>,
-        name: Box<str>,
-    },
-    /// `ArrayRef` whose name is not an array here: evaluate the
-    /// subscripts, then raise the tree-walker's error.
-    LoadErr {
-        idxs: Box<[Operand]>,
-        name: Box<str>,
-    },
-    Un {
-        op: UnOp,
-        operand: Box<Operand>,
-    },
-    Bin {
-        op: BinOp,
-        a: Box<Operand>,
-        b: Box<Operand>,
-    },
-    /// Intrinsic call; arity ≤ 8 enforced at compile time.
-    Intr {
-        op: Intr,
-        name: Box<str>,
-        args: Box<[Operand]>,
-    },
+pub(crate) struct ArrayUse {
+    pub slot: u32,
+    pub name: Box<str>,
+    /// Static element type: the declaration's. A parameter's storage may
+    /// differ (sequence association is untyped); the executor checks.
+    pub real: bool,
+    /// Subscripts per access (the binding's rank, for validated programs).
+    pub rank: u8,
+}
+
+/// A summarized block compiled to statically typed register code
+/// ([`crate::opt`] compiles, the executor runs). Every operand's type is
+/// known at compile time, so each [`Op`] is plain `f64`/`i64` arithmetic.
+/// Scalar slots, hoisted invariants and constants live in registers for
+/// the block's duration: loaded at entry, written slots stored back at
+/// exit — for a summarized loop, once per loop rather than per iteration.
+#[derive(Debug, Clone)]
+pub(crate) struct TypedBlock {
+    pub code: Box<[Op]>,
+    /// Every scalar slot the block reads or writes.
+    pub slots: Box<[RegSlot]>,
+    /// The slots the block writes, stored back at exit.
+    pub written: Box<[RegSlot]>,
+    /// Hoist slots the block reads (`slot` indexes the frame's hoists).
+    pub hoists: Box<[RegSlot]>,
+    pub fconsts: Box<[(Reg, f64)]>,
+    pub iconsts: Box<[(Reg, i64)]>,
+    pub arrays: Box<[ArrayUse]>,
+    /// As a summarized loop body: the loop variable's register, if the
+    /// body reads it.
+    pub loop_var: Option<Reg>,
+}
+
+impl TypedBlock {
+    /// The integer register holding scalar `slot`, if the block uses it.
+    pub fn int_reg(&self, slot: u32) -> Option<Reg> {
+        self.slots
+            .iter()
+            .find(|s| s.slot == slot && !s.real)
+            .map(|s| s.reg)
+    }
+}
+
+/// A comparison, producing 1 or 0 in an integer register.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Cmp {
+    Eq,
+    Ne,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+}
+
+/// One typed register instruction. `F*` ops read and write the `f64`
+/// file, `I*` ops the `i64` file; conversions and comparisons cross. Each
+/// op is bit-for-bit the arm of `exec::try_binop`/`try_intrinsic` the
+/// tree-walker takes for those operand types, and ops run in the
+/// tree-walker's evaluation order, so the first runtime error is the
+/// same error with the same text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Op {
+    FMov { d: Reg, a: Reg },
+    IMov { d: Reg, a: Reg },
+    /// `f[d] = i[a] as f64` (integer→real promotion).
+    IToF { d: Reg, a: Reg },
+    /// `i[d] = f[a].trunc() as i64` (Fortran store truncation, `int()`).
+    FToI { d: Reg, a: Reg },
+    FAdd { d: Reg, a: Reg, b: Reg },
+    FSub { d: Reg, a: Reg, b: Reg },
+    FMul { d: Reg, a: Reg, b: Reg },
+    FDiv { d: Reg, a: Reg, b: Reg },
+    FPow { d: Reg, a: Reg, b: Reg },
+    /// Real with integer right operand: `f[d] = f[a] op i[b] as f64`.
+    FAddI { d: Reg, a: Reg, b: Reg },
+    FSubI { d: Reg, a: Reg, b: Reg },
+    FMulI { d: Reg, a: Reg, b: Reg },
+    FDivI { d: Reg, a: Reg, b: Reg },
+    FNeg { d: Reg, a: Reg },
+    FAbs { d: Reg, a: Reg },
+    FSqrt { d: Reg, a: Reg },
+    FSin { d: Reg, a: Reg },
+    FCos { d: Reg, a: Reg },
+    FExp { d: Reg, a: Reg },
+    FLog { d: Reg, a: Reg },
+    FMin { d: Reg, a: Reg, b: Reg },
+    FMax { d: Reg, a: Reg, b: Reg },
+    /// `i[d] = f[a].floor() as i64`.
+    FFloor { d: Reg, a: Reg },
+    /// `i[d] = (f[a] != 0.0) as i64` (a real's truth value).
+    FTruth { d: Reg, a: Reg },
+    FCmp { op: Cmp, d: Reg, a: Reg, b: Reg },
+    IAdd { d: Reg, a: Reg, b: Reg },
+    ISub { d: Reg, a: Reg, b: Reg },
+    IMul { d: Reg, a: Reg, b: Reg },
+    /// Raises "integer division by zero".
+    IDiv { d: Reg, a: Reg, b: Reg },
+    /// Raises "0 ** negative exponent".
+    IPow { d: Reg, a: Reg, b: Reg },
+    /// Raises "mod by zero".
+    IMod { d: Reg, a: Reg, b: Reg },
+    INeg { d: Reg, a: Reg },
+    IAbs { d: Reg, a: Reg },
+    IMin { d: Reg, a: Reg, b: Reg },
+    IMax { d: Reg, a: Reg, b: Reg },
+    ICmp { op: Cmp, d: Reg, a: Reg, b: Reg },
+    IAnd { d: Reg, a: Reg, b: Reg },
+    IOr { d: Reg, a: Reg, b: Reg },
+    INot { d: Reg, a: Reg },
+    /// Element load through view `v` (an index into
+    /// [`TypedBlock::arrays`]); subscripts in integer registers, bounds
+    /// checked dimension by dimension like `BoundArray::flat`.
+    LoadF { d: Reg, v: u8, idx: [Reg; MAX_RANK] },
+    LoadI { d: Reg, v: u8, idx: [Reg; MAX_RANK] },
+    StoreF { s: Reg, v: u8, idx: [Reg; MAX_RANK] },
+    StoreI { s: Reg, v: u8, idx: [Reg; MAX_RANK] },
 }
 
 /// Per-procedure name resolution state.

@@ -45,17 +45,19 @@ enum Cont<'p> {
         stmts: &'p [LStmt],
         next: usize,
     },
-    /// A slow-path `do` loop between iterations. `entered` distinguishes
-    /// the first visit from a return after an iteration's body (which owes
-    /// the loop's per-iteration bookkeeping charge and the increment).
+    /// A slow-path `do` loop between iterations: `i` is the current
+    /// value, `left` the iterations not yet started. `entered`
+    /// distinguishes the first visit from a return after an iteration's
+    /// body (which owes the loop's per-iteration bookkeeping charge and
+    /// the increment).
     Loop {
         proc: &'p LProc,
         frame: Rc<FrameCell>,
         var: u32,
         body: &'p [LStmt],
         i: i64,
-        hi: i64,
         st: i64,
+        left: u128,
         entered: bool,
     },
 }
@@ -192,9 +194,10 @@ impl<'p> Machine<'p> {
                 hoists,
                 iter_charge,
             } => {
-                let (lo, hi, st) = self.interp.do_prologue(
+                let trips = self.interp.do_prologue(
                     proc,
                     &frame,
+                    *var,
                     lower,
                     upper,
                     step.as_ref(),
@@ -202,20 +205,20 @@ impl<'p> Machine<'p> {
                     hoists,
                     comm,
                 );
-                if let (Some(charge), [LStmt::Block { code, .. }]) =
+                if let (Some(charge), [LStmt::Block { stmts, code, .. }]) =
                     (*iter_charge, body.as_slice())
                 {
                     self.interp
-                        .run_summarized_do(proc, &frame, *var, code, lo, hi, st, charge, comm);
+                        .run_summarized_do(proc, &frame, code, stmts, trips, charge, comm);
                 } else {
                     self.stack.push(Cont::Loop {
                         proc,
                         frame,
                         var: *var,
                         body,
-                        i: lo,
-                        hi,
-                        st,
+                        i: trips.lo,
+                        st: trips.st,
+                        left: trips.n,
                         entered: false,
                     });
                 }
@@ -336,8 +339,8 @@ impl<'p> RankMachine for Machine<'p> {
                     var,
                     body,
                     i,
-                    hi,
                     st,
+                    left,
                     entered,
                 } => {
                     if *entered {
@@ -345,11 +348,16 @@ impl<'p> RankMachine for Machine<'p> {
                         // increment + test bookkeeping, exactly where the
                         // recursive executor charges it.
                         comm.advance(self.interp.opts.cost.ns_per_stmt);
-                        *i += *st;
                     }
-                    if (*st > 0 && *i > *hi) || (*st < 0 && *i < *hi) {
+                    if *left == 0 {
                         Work::Pop
                     } else {
+                        if *entered {
+                            // Another iteration follows, so this cannot
+                            // overflow.
+                            *i += *st;
+                        }
+                        *left -= 1;
                         *entered = true;
                         frame.borrow_mut().scalars[*var as usize] = Scalar::Int(*i);
                         Work::EnterBody(proc, Rc::clone(frame), body)

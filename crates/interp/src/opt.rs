@@ -31,6 +31,15 @@
 //!    clock on exactly the tree-walker's value. (Summing the f64 charges
 //!    first would not: f64 addition is not associative.)
 //!
+//! Each block compiles to a [`TypedBlock`]: three-address ops over an
+//! `f64` and an `i64` register file, typed statically ([`crate::typeck`])
+//! so no op inspects a value tag. Ops follow the tree-walker's evaluation
+//! order and each is the `try_binop`/`try_intrinsic` arm for its operand
+//! types, so results — and the first runtime error — are the tree-walker's
+//! bit for bit. A statement with an operand of unknown type stays out of
+//! blocks and runs on the tree-walker. How the executor binds arrays and
+//! why a check at loop entry can never move an error is in `exec`'s docs.
+//!
 //! Blocks never span communication, branches, calls, or loops — those
 //! statements end a block, both because their cost is data-dependent and
 //! because messages must depart/arrive at exactly the historical clock.
@@ -42,12 +51,14 @@
 use crate::cost::{CostModel, Options};
 use crate::exec::{try_binop, try_intrinsic};
 use crate::lower::{
-    ChainTy, Hoist, Instr, Intr, LArg, LCallArg, LExpr, LProgram, LSecDim, LSection, LStmt,
-    Operand,
+    ArrayUse, Cmp, Hoist, Intr, LArg, LCallArg, LExpr, LProgram, LSecDim, LSection, LStmt, Op,
+    Reg, RegSlot, TypedBlock, MAX_RANK,
 };
+use crate::typeck::{lexpr_ty, ProcTyEnv};
 use crate::value::Scalar;
+use analyzer::types::Ty;
 use clustersim::SimTime;
-use fir::ast::BinOp;
+use fir::ast::{BinOp, UnOp};
 use std::collections::HashSet;
 
 /// Run the full pass in place: fold, unroll, fold again (the unrolled
@@ -73,10 +84,8 @@ pub(crate) fn optimize(program: &mut LProgram, opts: &Options) {
         proc.hoist_slots = slots as usize;
 
         if !opts.trace {
-            form_blocks(&mut proc.body, opts);
-            if opts.typed_chains {
-                crate::typeck::annotate_proc(proc);
-            }
+            let mut env = ProcTyEnv::new(proc);
+            form_blocks(&mut proc.body, opts, &mut env);
         }
     }
 }
@@ -659,20 +668,30 @@ fn stmt_charge(s: &LStmt, cost: &CostModel) -> u64 {
 }
 
 /// Group maximal runs of straight-line assignments into [`LStmt::Block`]s
-/// with precomputed charges, and collapse whole-body blocks into the
-/// loop's one-add-per-iteration fast path.
-fn form_blocks(stmts: &mut Vec<LStmt>, opts: &Options) {
+/// with precomputed charges and typed register code, and collapse
+/// whole-body blocks into the loop's one-add-per-iteration fast path.
+/// `env` carries the slot types; each loop's hoists are typed on the way
+/// in, since they are cached at loop entry before its body runs.
+fn form_blocks(stmts: &mut Vec<LStmt>, opts: &Options, env: &mut ProcTyEnv) {
     for s in stmts.iter_mut() {
         match s {
             LStmt::Do {
-                body, iter_charge, ..
+                var,
+                body,
+                hoists,
+                iter_charge,
+                ..
             } => {
-                form_blocks(body, opts);
-                if let [LStmt::Block { charge, .. }] = body.as_slice() {
+                for h in hoists.iter() {
+                    env.hoists[h.slot as usize] = lexpr_ty(&h.expr, env);
+                }
+                form_blocks(body, opts, env);
+                if let [LStmt::Block { charge, code, .. }] = body.as_mut_slice() {
                     // Fold the loop's own increment/test bookkeeping into
                     // the per-iteration add.
                     *iter_charge =
-                        Some(charge + SimTime::from_ns_f64(opts.cost.ns_per_stmt).as_ns());
+                        Some(*charge + SimTime::from_ns_f64(opts.cost.ns_per_stmt).as_ns());
+                    code.loop_var = code.int_reg(*var);
                 }
             }
             LStmt::If {
@@ -680,8 +699,8 @@ fn form_blocks(stmts: &mut Vec<LStmt>, opts: &Options) {
                 else_body,
                 ..
             } => {
-                form_blocks(then_body, opts);
-                form_blocks(else_body, opts);
+                form_blocks(then_body, opts, env);
+                form_blocks(else_body, opts, env);
             }
             _ => {}
         }
@@ -704,271 +723,607 @@ fn form_blocks(stmts: &mut Vec<LStmt>, opts: &Options) {
         if eligible(&s) {
             run.push(s);
         } else {
-            flush_run(&mut run, stmts, &opts.cost);
+            emit_run(std::mem::take(&mut run), stmts, &opts.cost, env);
             stmts.push(s);
         }
     }
-    flush_run(&mut run, stmts, &opts.cost);
+    emit_run(run, stmts, &opts.cost, env);
 }
 
-fn flush_run(run: &mut Vec<LStmt>, out: &mut Vec<LStmt>, cost: &CostModel) {
+/// Emit a run as one block, or — when it does not compile as a whole —
+/// as the blocks of its two halves. A single statement that does not
+/// compile stays a plain statement for the tree-walker; an unrolled loop
+/// head ([`LStmt::SetVar`]) always compiles, so it never ends up outside
+/// a block.
+fn emit_run(run: Vec<LStmt>, out: &mut Vec<LStmt>, cost: &CostModel, env: &ProcTyEnv) {
     if run.is_empty() {
         return;
     }
-    let stmts = std::mem::take(run);
-    let charge = stmts.iter().map(|s| stmt_charge(s, cost)).sum();
-    let code = compile_block(&stmts);
-    out.push(LStmt::Block {
-        stmts,
-        code,
-        charge,
-    });
+    match compile_block(&run, env) {
+        Ok(code) => {
+            let charge = run.iter().map(|s| stmt_charge(s, cost)).sum();
+            out.push(LStmt::Block {
+                stmts: run,
+                code,
+                charge,
+            });
+        }
+        Err(_) if run.len() > 1 => {
+            let mut left = run;
+            let right = left.split_off(left.len() / 2);
+            emit_run(left, out, cost, env);
+            emit_run(right, out, cost, env);
+        }
+        Err(_) => out.extend(run),
+    }
 }
 
-// ---------------------------------------------------- tape compilation
+// ------------------------------------------------ typed block compilation
 
-/// Compile a block's statements to the flat postfix tape the executor
-/// runs. Instruction order is exactly the tree-walker's evaluation order
-/// (indices left to right — each converted to an integer as soon as it is
-/// evaluated, like `eval_indices` — then values, then the store), so any
-/// runtime error fires at the same point with the same message.
-fn compile_block(stmts: &[LStmt]) -> Vec<Instr> {
-    let code = compile_block_unfused(stmts);
-    // Peephole: fuse a leaf push directly followed by the Binary that
-    // consumes it as its right operand, and leaf subscript conversions —
-    // pure dispatch-count reductions, bit-identical results.
-    let mut fused = Vec::with_capacity(code.len());
-    for ins in code {
-        match (fused.last(), &ins) {
-            (Some(Instr::PushVar(slot)), Instr::Binary(op)) => {
-                let f = Instr::BinRhsVar {
-                    op: *op,
-                    slot: *slot,
-                };
-                fused.pop();
-                fused.push(f);
-            }
-            (Some(Instr::PushConst(v)), Instr::Binary(op)) => {
-                let f = Instr::BinRhsConst { op: *op, v: *v };
-                fused.pop();
-                fused.push(f);
-            }
-            (Some(Instr::PushInt(v)), Instr::Binary(op)) => {
-                let f = Instr::BinRhsConst {
-                    op: *op,
-                    v: Scalar::Int(*v),
-                };
-                fused.pop();
-                fused.push(f);
-            }
-            (Some(Instr::PushReal(v)), Instr::Binary(op)) => {
-                let f = Instr::BinRhsConst {
-                    op: *op,
-                    v: Scalar::Real(*v),
-                };
-                fused.pop();
-                fused.push(f);
-            }
-            (Some(Instr::PushHoisted(slot)), Instr::Binary(op)) => {
-                let f = Instr::BinRhsHoisted {
-                    op: *op,
-                    slot: *slot,
-                };
-                fused.pop();
-                fused.push(f);
-            }
-            (Some(Instr::PushVar(slot)), Instr::ExpectIdx) => {
-                let f = Instr::PushIdxVar(*slot);
-                fused.pop();
-                fused.push(f);
-            }
-            _ => fused.push(ins),
+/// A run of statements that does not compile to one typed block: an
+/// operand's type is unknown to inference, the statement has a shape the
+/// register form does not address (a non-array subscripted, a rank above
+/// [`MAX_RANK`]), or the run needs more than 256 registers of one kind.
+struct Decline;
+
+/// The static type of a register value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum K {
+    Int,
+    Real,
+}
+
+impl K {
+    fn of(t: &Ty) -> Result<K, Decline> {
+        match t {
+            Ty::Int => Ok(K::Int),
+            Ty::Real => Ok(K::Real),
+            _ => Err(Decline),
         }
     }
-    fused
+
+    fn real(real: bool) -> K {
+        if real {
+            K::Real
+        } else {
+            K::Int
+        }
+    }
 }
 
-fn compile_block_unfused(stmts: &[LStmt]) -> Vec<Instr> {
-    let mut code = Vec::new();
-    for s in stmts {
-        match s {
-            LStmt::AssignScalar { slot, ty, value } => {
-                if let Some((first, rest)) = as_chain(value) {
-                    code.push(Instr::ChainScalar {
-                        dst: *slot,
-                        ty: *ty,
-                        first,
-                        rest: rest.into_boxed_slice(),
-                        mono: ChainTy::Dyn,
-                    });
-                    continue;
+/// One register file's allocator: block-long registers (slots, hoists,
+/// constants) grow up from 0, per-statement temporaries grow down from
+/// 255 and are released at the end of every statement.
+struct RegFile {
+    next: i32,
+    temp: i32,
+}
+
+impl RegFile {
+    fn new() -> Self {
+        RegFile { next: 0, temp: 255 }
+    }
+
+    fn block_long(&mut self) -> Result<Reg, Decline> {
+        if self.next > self.temp {
+            return Err(Decline);
+        }
+        self.next += 1;
+        Ok((self.next - 1) as Reg)
+    }
+
+    fn temp(&mut self) -> Result<Reg, Decline> {
+        if self.temp < self.next {
+            return Err(Decline);
+        }
+        self.temp -= 1;
+        Ok((self.temp + 1) as Reg)
+    }
+}
+
+/// Compiles one run of straight-line statements to a [`TypedBlock`].
+/// Ops are emitted in the tree-walker's evaluation order (post-order;
+/// subscripts left to right before the value), and an operation's result
+/// lands in the statement's target register only through its *last* op,
+/// after every operand has been read.
+struct BlockCompiler<'e> {
+    env: &'e ProcTyEnv,
+    code: Vec<Op>,
+    f: RegFile,
+    i: RegFile,
+    slots: Vec<RegSlot>,
+    written: Vec<RegSlot>,
+    hoists: Vec<RegSlot>,
+    fconsts: Vec<(Reg, f64)>,
+    iconsts: Vec<(Reg, i64)>,
+    arrays: Vec<ArrayUse>,
+}
+
+type Val = (K, Reg);
+
+impl<'e> BlockCompiler<'e> {
+    fn new(env: &'e ProcTyEnv) -> Self {
+        BlockCompiler {
+            env,
+            code: Vec::new(),
+            f: RegFile::new(),
+            i: RegFile::new(),
+            slots: Vec::new(),
+            written: Vec::new(),
+            hoists: Vec::new(),
+            fconsts: Vec::new(),
+            iconsts: Vec::new(),
+            arrays: Vec::new(),
+        }
+    }
+
+    fn file(&mut self, k: K) -> &mut RegFile {
+        match k {
+            K::Int => &mut self.i,
+            K::Real => &mut self.f,
+        }
+    }
+
+    fn temp(&mut self, k: K) -> Result<Reg, Decline> {
+        self.file(k).temp()
+    }
+
+    /// Where an operation of kind `k` writes: the statement's target when
+    /// the caller asked for one of that kind, else a fresh temporary.
+    fn dest(&mut self, k: K, want: Option<Val>) -> Result<Reg, Decline> {
+        match want {
+            Some((wk, r)) if wk == k => Ok(r),
+            _ => self.temp(k),
+        }
+    }
+
+    /// The register holding frame scalar `slot` — or hoist slot `slot`,
+    /// when `hoisted` — allocated on first use.
+    fn scalar(&mut self, slot: u32, hoisted: bool) -> Result<Val, Decline> {
+        let used = if hoisted { &self.hoists } else { &self.slots };
+        if let Some(s) = used.iter().find(|s| s.slot == slot) {
+            return Ok((K::real(s.real), s.reg));
+        }
+        let types = if hoisted {
+            &self.env.hoists
+        } else {
+            &self.env.scalars
+        };
+        let k = K::of(&types[slot as usize])?;
+        let reg = self.file(k).block_long()?;
+        let s = RegSlot {
+            slot,
+            real: k == K::Real,
+            reg,
+        };
+        if hoisted {
+            self.hoists.push(s);
+        } else {
+            self.slots.push(s);
+        }
+        Ok((k, reg))
+    }
+
+    fn constant(&mut self, v: Scalar) -> Result<Val, Decline> {
+        match v {
+            Scalar::Int(x) => {
+                if let Some(&(r, _)) = self.iconsts.iter().find(|(_, c)| *c == x) {
+                    return Ok((K::Int, r));
                 }
-                compile_expr(value, &mut code);
-                code.push(Instr::StoreScalar {
-                    slot: *slot,
-                    ty: *ty,
+                let r = self.i.block_long()?;
+                self.iconsts.push((r, x));
+                Ok((K::Int, r))
+            }
+            Scalar::Real(x) => {
+                let same = |c: &f64| c.to_bits() == x.to_bits();
+                if let Some(&(r, _)) = self.fconsts.iter().find(|(_, c)| same(c)) {
+                    return Ok((K::Real, r));
+                }
+                let r = self.f.block_long()?;
+                self.fconsts.push((r, x));
+                Ok((K::Real, r))
+            }
+        }
+    }
+
+    /// Integer→real promotion, as `Scalar::as_real` does it.
+    fn real(&mut self, (k, r): Val) -> Result<Reg, Decline> {
+        if k == K::Real {
+            return Ok(r);
+        }
+        let d = self.temp(K::Real)?;
+        self.code.push(Op::IToF { d, a: r });
+        Ok(d)
+    }
+
+    /// A real's truth value as 0/1 (`Scalar::is_true`); integers are
+    /// already tested against 0 by the logical ops.
+    fn truth(&mut self, (k, r): Val) -> Result<Reg, Decline> {
+        if k == K::Int {
+            return Ok(r);
+        }
+        let d = self.temp(K::Int)?;
+        self.code.push(Op::FTruth { d, a: r });
+        Ok(d)
+    }
+
+    fn array(&mut self, slot: u32, name: &str, rank: usize) -> Result<(u8, K), Decline> {
+        // `subscripts` already capped `rank` at MAX_RANK.
+        let rank = rank as u8;
+        if let Some(v) = self.arrays.iter().position(|a| a.slot == slot) {
+            let a = &self.arrays[v];
+            if a.rank != rank {
+                return Err(Decline);
+            }
+            return Ok((v as u8, K::real(a.real)));
+        }
+        let k = K::of(&self.env.arrays[slot as usize])?;
+        let v = u8::try_from(self.arrays.len()).map_err(|_| Decline)?;
+        self.arrays.push(ArrayUse {
+            slot,
+            name: name.into(),
+            real: k == K::Real,
+            rank,
+        });
+        Ok((v, k))
+    }
+
+    /// Subscripts, each evaluated to an integer in order (`eval_indices`).
+    fn subscripts(&mut self, indices: &[LExpr]) -> Result<[Reg; MAX_RANK], Decline> {
+        if indices.len() > MAX_RANK {
+            return Err(Decline);
+        }
+        let mut idx = [0; MAX_RANK];
+        for (d, e) in indices.iter().enumerate() {
+            match self.expr(e, None)? {
+                (K::Int, r) => idx[d] = r,
+                // `expect_int("array subscript")` panics; validation
+                // rules this out, and the tree-walker keeps the panic.
+                (K::Real, _) => return Err(Decline),
+            }
+        }
+        Ok(idx)
+    }
+
+    fn expr(&mut self, e: &LExpr, want: Option<Val>) -> Result<Val, Decline> {
+        match e {
+            LExpr::Int(v) => self.constant(Scalar::Int(*v)),
+            LExpr::Real(v) => self.constant(Scalar::Real(*v)),
+            LExpr::Const { v, .. } => self.constant(*v),
+            LExpr::Var(slot) => self.scalar(*slot, false),
+            LExpr::Hoisted { slot, .. } => self.scalar(*slot, true),
+            LExpr::ArrayRef {
+                slot: Some(slot),
+                name,
+                indices,
+            } => {
+                let idx = self.subscripts(indices)?;
+                let (v, k) = self.array(*slot, name, indices.len())?;
+                let d = self.dest(k, want)?;
+                self.code.push(match k {
+                    K::Real => Op::LoadF { d, v, idx },
+                    K::Int => Op::LoadI { d, v, idx },
                 });
+                Ok((k, d))
+            }
+            LExpr::ArrayRef { slot: None, .. } => Err(Decline),
+            LExpr::Intrinsic { op, args, .. } => {
+                let vals = args
+                    .iter()
+                    .map(|a| self.expr(a, None))
+                    .collect::<Result<Vec<Val>, Decline>>()?;
+                self.intrinsic(*op, &vals, want)
+            }
+            LExpr::Unary { op, operand } => {
+                let a = self.expr(operand, None)?;
+                match (op, a) {
+                    (UnOp::Neg, (K::Int, a)) => {
+                        let d = self.dest(K::Int, want)?;
+                        self.code.push(Op::INeg { d, a });
+                        Ok((K::Int, d))
+                    }
+                    (UnOp::Neg, (K::Real, a)) => {
+                        let d = self.dest(K::Real, want)?;
+                        self.code.push(Op::FNeg { d, a });
+                        Ok((K::Real, d))
+                    }
+                    (UnOp::Not, a) => {
+                        let a = self.truth(a)?;
+                        let d = self.dest(K::Int, want)?;
+                        self.code.push(Op::INot { d, a });
+                        Ok((K::Int, d))
+                    }
+                }
+            }
+            LExpr::Binary { op, lhs, rhs } => {
+                let a = self.expr(lhs, None)?;
+                let b = self.expr(rhs, None)?;
+                self.binary(*op, a, b, want)
+            }
+        }
+    }
+
+    /// `try_binop`, arm by arm: integer arithmetic only when both operands
+    /// are integers, otherwise real arithmetic on promoted operands.
+    fn binary(&mut self, op: BinOp, a: Val, b: Val, want: Option<Val>) -> Result<Val, Decline> {
+        use BinOp::*;
+        let cmp = |op| match op {
+            Eq => Cmp::Eq,
+            Ne => Cmp::Ne,
+            Lt => Cmp::Lt,
+            Le => Cmp::Le,
+            Gt => Cmp::Gt,
+            _ => Cmp::Ge,
+        };
+        match op {
+            Add | Sub | Mul | Div | Pow => {
+                if let ((K::Int, a), (K::Int, b)) = (a, b) {
+                    let d = self.dest(K::Int, want)?;
+                    self.code.push(match op {
+                        Add => Op::IAdd { d, a, b },
+                        Sub => Op::ISub { d, a, b },
+                        Mul => Op::IMul { d, a, b },
+                        Div => Op::IDiv { d, a, b },
+                        _ => Op::IPow { d, a, b },
+                    });
+                    return Ok((K::Int, d));
+                }
+                // A real with an integer right operand needs no separate
+                // promotion; `+` and `*` commute exactly in IEEE
+                // arithmetic, so an integer *left* operand swaps sides.
+                let mixed = match (op, a, b) {
+                    (Add | Sub | Mul | Div, (K::Real, x), (K::Int, y)) => Some((op, x, y)),
+                    (Add | Mul, (K::Int, y), (K::Real, x)) => Some((op, x, y)),
+                    _ => None,
+                };
+                if let Some((op, a, b)) = mixed {
+                    let d = self.dest(K::Real, want)?;
+                    self.code.push(match op {
+                        Add => Op::FAddI { d, a, b },
+                        Sub => Op::FSubI { d, a, b },
+                        Mul => Op::FMulI { d, a, b },
+                        _ => Op::FDivI { d, a, b },
+                    });
+                    return Ok((K::Real, d));
+                }
+                let a = self.real(a)?;
+                let b = self.real(b)?;
+                let d = self.dest(K::Real, want)?;
+                self.code.push(match op {
+                    Add => Op::FAdd { d, a, b },
+                    Sub => Op::FSub { d, a, b },
+                    Mul => Op::FMul { d, a, b },
+                    Div => Op::FDiv { d, a, b },
+                    _ => Op::FPow { d, a, b },
+                });
+                Ok((K::Real, d))
+            }
+            Eq | Ne | Lt | Le | Gt | Ge => {
+                let op = cmp(op);
+                if let ((K::Int, a), (K::Int, b)) = (a, b) {
+                    let d = self.dest(K::Int, want)?;
+                    self.code.push(Op::ICmp { op, d, a, b });
+                    return Ok((K::Int, d));
+                }
+                let a = self.real(a)?;
+                let b = self.real(b)?;
+                let d = self.dest(K::Int, want)?;
+                self.code.push(Op::FCmp { op, d, a, b });
+                Ok((K::Int, d))
+            }
+            And | Or => {
+                let a = self.truth(a)?;
+                let b = self.truth(b)?;
+                let d = self.dest(K::Int, want)?;
+                self.code.push(if op == And {
+                    Op::IAnd { d, a, b }
+                } else {
+                    Op::IOr { d, a, b }
+                });
+                Ok((K::Int, d))
+            }
+        }
+    }
+
+    /// `try_intrinsic`, arm by arm, on already-evaluated arguments.
+    fn intrinsic(&mut self, op: Intr, vals: &[Val], want: Option<Val>) -> Result<Val, Decline> {
+        let unary = |vals: &[Val]| match vals {
+            [v] => Ok(*v),
+            _ => Err(Decline),
+        };
+        match op {
+            Intr::Mod => match vals {
+                [(K::Int, a), (K::Int, b)] => {
+                    let d = self.dest(K::Int, want)?;
+                    self.code.push(Op::IMod { d, a: *a, b: *b });
+                    Ok((K::Int, d))
+                }
+                _ => Err(Decline),
+            },
+            Intr::Min | Intr::Max => {
+                if vals.len() < 2 {
+                    return Err(Decline);
+                }
+                let is_min = op == Intr::Min;
+                if vals.iter().all(|(k, _)| *k == K::Int) {
+                    // `Iterator::min/max` over the arguments, pairwise.
+                    let mut acc = vals[0].1;
+                    for (n, &(_, b)) in vals.iter().enumerate().skip(1) {
+                        let d = if n + 1 == vals.len() {
+                            self.dest(K::Int, want)?
+                        } else {
+                            self.temp(K::Int)?
+                        };
+                        self.code.push(if is_min {
+                            Op::IMin { d, a: acc, b }
+                        } else {
+                            Op::IMax { d, a: acc, b }
+                        });
+                        acc = d;
+                    }
+                    return Ok((K::Int, acc));
+                }
+                // `fold(±INFINITY, f64::min/max)` over the promoted
+                // arguments — starting from the infinity, as the fold
+                // does (it decides what a NaN argument yields).
+                let inf = if is_min { f64::INFINITY } else { f64::NEG_INFINITY };
+                let (_, mut acc) = self.constant(Scalar::Real(inf))?;
+                let reals = vals
+                    .iter()
+                    .map(|v| self.real(*v))
+                    .collect::<Result<Vec<Reg>, Decline>>()?;
+                for (n, &b) in reals.iter().enumerate() {
+                    let d = if n + 1 == reals.len() {
+                        self.dest(K::Real, want)?
+                    } else {
+                        self.temp(K::Real)?
+                    };
+                    self.code.push(if is_min {
+                        Op::FMin { d, a: acc, b }
+                    } else {
+                        Op::FMax { d, a: acc, b }
+                    });
+                    acc = d;
+                }
+                Ok((K::Real, acc))
+            }
+            Intr::Abs => match unary(vals)? {
+                (K::Int, a) => {
+                    let d = self.dest(K::Int, want)?;
+                    self.code.push(Op::IAbs { d, a });
+                    Ok((K::Int, d))
+                }
+                (K::Real, a) => {
+                    let d = self.dest(K::Real, want)?;
+                    self.code.push(Op::FAbs { d, a });
+                    Ok((K::Real, d))
+                }
+            },
+            Intr::Sqrt | Intr::Sin | Intr::Cos | Intr::Exp | Intr::Log => {
+                let a = self.real(unary(vals)?)?;
+                let d = self.dest(K::Real, want)?;
+                self.code.push(match op {
+                    Intr::Sqrt => Op::FSqrt { d, a },
+                    Intr::Sin => Op::FSin { d, a },
+                    Intr::Cos => Op::FCos { d, a },
+                    Intr::Exp => Op::FExp { d, a },
+                    _ => Op::FLog { d, a },
+                });
+                Ok((K::Real, d))
+            }
+            Intr::Floor => {
+                let a = self.real(unary(vals)?)?;
+                let d = self.dest(K::Int, want)?;
+                self.code.push(Op::FFloor { d, a });
+                Ok((K::Int, d))
+            }
+            Intr::Int => match unary(vals)? {
+                (K::Int, a) => Ok((K::Int, a)),
+                (K::Real, a) => {
+                    let d = self.dest(K::Int, want)?;
+                    self.code.push(Op::FToI { d, a });
+                    Ok((K::Int, d))
+                }
+            },
+            Intr::Real => match unary(vals)? {
+                (K::Real, a) => Ok((K::Real, a)),
+                (K::Int, a) => {
+                    let d = self.dest(K::Real, want)?;
+                    self.code.push(Op::IToF { d, a });
+                    Ok((K::Real, d))
+                }
+            },
+            Intr::Unknown => Err(Decline),
+        }
+    }
+
+    /// Put `v` into register `d` of kind `k`, converting like
+    /// `Scalar::convert_to` (unless an op already wrote it there).
+    fn move_into(&mut self, (k, d): Val, v: Val) {
+        self.code.push(match (k, v) {
+            (_, v) if v == (k, d) => return,
+            (K::Real, (K::Real, a)) => Op::FMov { d, a },
+            (K::Int, (K::Int, a)) => Op::IMov { d, a },
+            (K::Real, (K::Int, a)) => Op::IToF { d, a },
+            (K::Int, (K::Real, a)) => Op::FToI { d, a },
+        });
+    }
+
+    fn mark_written(&mut self, slot: u32) {
+        if !self.written.iter().any(|w| w.slot == slot) {
+            let s = *self
+                .slots
+                .iter()
+                .find(|s| s.slot == slot)
+                .expect("written slots have registers");
+            self.written.push(s);
+        }
+    }
+
+    fn stmt(&mut self, s: &LStmt) -> Result<(), Decline> {
+        match s {
+            LStmt::AssignScalar { slot, value, .. } => {
+                let target = self.scalar(*slot, false)?;
+                let v = self.expr(value, Some(target))?;
+                self.move_into(target, v);
+                self.mark_written(*slot);
             }
             LStmt::AssignArray {
-                slot,
+                slot: Some(slot),
                 name,
                 indices,
                 value,
             } => {
-                if let (Some(slot), true) = (slot, indices.len() <= 4) {
-                    let idxs: Option<Vec<Operand>> = indices.iter().map(as_operand).collect();
-                    if let (Some(idxs), Some((first, rest))) = (idxs, as_chain(value)) {
-                        code.push(Instr::ChainArray {
-                            slot: *slot,
-                            name: name.as_str().into(),
-                            idxs: idxs.into_boxed_slice(),
-                            first,
-                            rest: rest.into_boxed_slice(),
-                            mono: ChainTy::Dyn,
-                        });
-                        continue;
-                    }
-                }
-                for i in indices {
-                    compile_expr(i, &mut code);
-                    code.push(Instr::ExpectIdx);
-                }
-                compile_expr(value, &mut code);
-                match slot {
-                    Some(slot) => code.push(Instr::StoreArray {
-                        slot: *slot,
-                        argc: indices.len() as u16,
-                        name: name.as_str().into(),
-                    }),
-                    // The tree-walker evaluates indices and value, charges,
-                    // *then* reports the unknown-array error.
-                    None => code.push(Instr::ErrNotArray {
-                        name: name.as_str().into(),
-                    }),
-                }
+                let idx = self.subscripts(indices)?;
+                let v = self.expr(value, None)?;
+                let (view, k) = self.array(*slot, name, indices.len())?;
+                let s = if v.0 == k {
+                    v.1
+                } else {
+                    let t = self.temp(k)?;
+                    self.move_into((k, t), v);
+                    t
+                };
+                self.code.push(match k {
+                    K::Real => Op::StoreF { s, v: view, idx },
+                    K::Int => Op::StoreI { s, v: view, idx },
+                });
             }
-            LStmt::SetVar { slot, v, .. } => code.push(Instr::SetVar { slot: *slot, v: *v }),
-            other => unreachable!("non-straight-line statement in a block: {other:?}"),
+            LStmt::SetVar { slot, v, .. } => {
+                let target = self.scalar(*slot, false)?;
+                let c = self.constant(Scalar::Int(*v))?;
+                self.move_into(target, c);
+                self.mark_written(*slot);
+            }
+            _ => return Err(Decline),
+        }
+        // Temporaries die with their statement.
+        self.f.temp = 255;
+        self.i.temp = 255;
+        Ok(())
+    }
+
+    fn finish(self) -> TypedBlock {
+        TypedBlock {
+            code: self.code.into(),
+            slots: self.slots.into(),
+            written: self.written.into(),
+            hoists: self.hoists.into(),
+            fconsts: self.fconsts.into(),
+            iconsts: self.iconsts.into(),
+            arrays: self.arrays.into(),
+            loop_var: None,
         }
     }
-    code
 }
 
-/// Convert an expression into a chain operand — total except for the
-/// shapes the fetcher's fixed buffers cannot hold (array rank > 8,
-/// intrinsic arity > 8), which keep the general stack path.
-fn as_operand(e: &LExpr) -> Option<Operand> {
-    Some(match e {
-        LExpr::Int(v) => Operand::Const(Scalar::Int(*v)),
-        LExpr::Real(v) => Operand::Const(Scalar::Real(*v)),
-        LExpr::Const { v, .. } => Operand::Const(*v),
-        LExpr::Var(slot) => Operand::Var(*slot),
-        LExpr::Hoisted { slot, .. } => Operand::Hoisted(*slot),
-        LExpr::ArrayRef {
-            slot,
-            name,
-            indices,
-        } => {
-            if indices.len() > 8 {
-                return None;
-            }
-            let idxs: Option<Vec<Operand>> = indices.iter().map(as_operand).collect();
-            let idxs = idxs?.into_boxed_slice();
-            let name = name.as_str().into();
-            match slot {
-                Some(slot) => Operand::Load {
-                    slot: *slot,
-                    idxs,
-                    name,
-                },
-                None => Operand::LoadErr { idxs, name },
-            }
-        }
-        LExpr::Unary { op, operand } => Operand::Un {
-            op: *op,
-            operand: Box::new(as_operand(operand)?),
-        },
-        LExpr::Binary { op, lhs, rhs } => Operand::Bin {
-            op: *op,
-            a: Box::new(as_operand(lhs)?),
-            b: Box::new(as_operand(rhs)?),
-        },
-        LExpr::Intrinsic { op, name, args } => {
-            if args.len() > 8 {
-                return None;
-            }
-            let cargs: Option<Vec<Operand>> = args.iter().map(as_operand).collect();
-            Operand::Intr {
-                op: *op,
-                name: name.as_str().into(),
-                args: cargs?.into_boxed_slice(),
-            }
-        }
-    })
-}
-
-/// Decompose the expression's left-leaning binary spine:
-/// `((a op1 b) op2 c)` → `(a, [(op1, b), (op2, c)])`. Evaluating `a` then
-/// each (op, operand) left to right is exactly the tree-walker's
-/// post-order visit; the flat spine turns the commonest shape — an
-/// accumulation chain — into a well-predicted internal loop.
-fn as_chain(e: &LExpr) -> Option<(Operand, Vec<(BinOp, Operand)>)> {
-    if let LExpr::Binary { op, lhs, rhs } = e {
-        let rhs = as_operand(rhs)?;
-        let (first, mut rest) = as_chain(lhs)?;
-        rest.push((*op, rhs));
-        return Some((first, rest));
+/// Compile a run of straight-line statements to one typed block.
+fn compile_block(stmts: &[LStmt], env: &ProcTyEnv) -> Result<TypedBlock, Decline> {
+    let mut c = BlockCompiler::new(env);
+    for s in stmts {
+        c.stmt(s)?;
     }
-    Some((as_operand(e)?, Vec::new()))
-}
-
-fn compile_expr(e: &LExpr, code: &mut Vec<Instr>) {
-    match e {
-        LExpr::Int(v) => code.push(Instr::PushInt(*v)),
-        LExpr::Real(v) => code.push(Instr::PushReal(*v)),
-        LExpr::Const { v, .. } => code.push(Instr::PushConst(*v)),
-        LExpr::Var(slot) => code.push(Instr::PushVar(*slot)),
-        LExpr::Hoisted { slot, .. } => code.push(Instr::PushHoisted(*slot)),
-        LExpr::ArrayRef {
-            slot,
-            name,
-            indices,
-        } => {
-            for i in indices {
-                compile_expr(i, code);
-                code.push(Instr::ExpectIdx);
-            }
-            match slot {
-                Some(slot) => code.push(Instr::LoadArray {
-                    slot: *slot,
-                    argc: indices.len() as u16,
-                    name: name.as_str().into(),
-                }),
-                None => code.push(Instr::ErrNotArray {
-                    name: name.as_str().into(),
-                }),
-            }
-        }
-        LExpr::Intrinsic { op, name, args } => {
-            for a in args {
-                compile_expr(a, code);
-            }
-            code.push(Instr::Intrinsic {
-                op: *op,
-                argc: args.len() as u16,
-                name: name.as_str().into(),
-            });
-        }
-        LExpr::Unary { op, operand } => {
-            compile_expr(operand, code);
-            code.push(Instr::Unary(*op));
-        }
-        LExpr::Binary { op, lhs, rhs } => {
-            compile_expr(lhs, code);
-            compile_expr(rhs, code);
-            code.push(Instr::Binary(*op));
-        }
-    }
+    Ok(c.finish())
 }
 
 #[cfg(test)]
@@ -1250,6 +1605,68 @@ end program",
                 "loop must survive: {src}"
             );
         }
+    }
+
+    #[test]
+    fn typed_blocks_compute_in_registers_and_write_targets_directly() {
+        let main = lowered_main(
+            "program m\n  real :: a(64)\n  n = 64\n  do i = 1, n\n    t = t + i * 2 + 0.5\n    a(i) = t\n  end do\nend program",
+            &Options::default(),
+        );
+        let LStmt::Do { var, body, .. } = &main.body[1] else {
+            panic!("loop survives: {:?}", main.body);
+        };
+        let [LStmt::Block { code, .. }] = body.as_slice() else {
+            panic!("loop body summarized");
+        };
+        let t = code.slots.iter().find(|s| s.real).expect("`t` has a register").reg;
+        // `i * 2` in integers, the real `+ int` with no separate
+        // promotion, the last add straight into `t`'s register, then the
+        // store — no moves, no tags.
+        assert!(
+            matches!(
+                *code.code,
+                [
+                    Op::IMul { .. },
+                    Op::FAddI { .. },
+                    Op::FAdd { d, .. },
+                    Op::StoreF { s, .. },
+                ] if d == t && s == t
+            ),
+            "{:?}",
+            code.code
+        );
+        assert!(code.loop_var.is_some(), "the loop sets `i`'s register");
+        assert_eq!(code.loop_var, code.int_reg(*var));
+        assert_eq!(code.written.len(), 1, "only `t` is stored back");
+    }
+
+    #[test]
+    fn runs_too_big_for_the_registers_split_into_blocks() {
+        // 300 distinct real scalars in one straight-line run: more than a
+        // 256-register file holds, so the run splits into blocks that fit.
+        let mut src = String::from("program m\n  real :: a(1)\n  x1 = 1.5\n");
+        for k in 2..=300 {
+            src.push_str(&format!("  x{k} = x{} * 0.5 + {k}\n", k - 1));
+        }
+        src.push_str("  a(1) = x300\nend program");
+        let main = lowered_main(&src, &Options::default());
+        let mut sizes = Vec::new();
+        count_blocks(&main.body, &mut sizes);
+        assert!(sizes.len() > 1, "{sizes:?}");
+        assert_eq!(sizes.iter().sum::<usize>(), 301, "every statement is in a block");
+        let program = fir::parse_validated(&src).unwrap();
+        let model = clustersim::NetworkModel::mpich_gm();
+        let run = |optimize| {
+            let opts = Options {
+                optimize,
+                ..Default::default()
+            };
+            crate::run_program_opts(&program, 1, &model, &opts).unwrap()
+        };
+        let (plain, fast) = (run(false), run(true));
+        assert_eq!(plain.outputs, fast.outputs);
+        assert_eq!(plain.report.per_rank, fast.report.per_rank);
     }
 
     #[test]

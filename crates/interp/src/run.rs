@@ -82,7 +82,7 @@ pub fn run_program_opts(
 }
 
 /// An immutable compiled program: validated, lowered to frame slots, and
-/// (per the compile-time [`Options`]) optimized and type-specialized. The
+/// (per the compile-time [`Options`]) optimized into typed blocks. The
 /// payload is `Arc`-shared, so cloning a handle is cheap and a single
 /// compilation can back every rank of every scenario that shares the
 /// same compilation inputs — the cross-scenario hop of the same sharing
@@ -92,7 +92,7 @@ pub fn run_program_opts(
 pub struct CompiledProgram {
     lowered: Arc<LProgram>,
     /// The options the program was compiled under. Cost constants and the
-    /// optimize/typed-chain switches are *baked in* at compile time (block
+    /// optimize switch are *baked in* at compile time (block
     /// charges are precomputed), so runs reuse the same options rather
     /// than accepting fresh ones that could disagree with the baked state.
     opts: Options,

@@ -1,5 +1,5 @@
 //! Static type inference over the lowered program, feeding the typed
-//! chain instructions ([`crate::lower::ChainTy`]).
+//! block compiler ([`crate::opt`]).
 //!
 //! Every storage location in mini-Fortran is monomorphic by construction:
 //! every store converts the value to the slot's declared (or implicit)
@@ -7,19 +7,18 @@
 //! expression. So "inference" is seeding slot types from
 //! `scalar_defaults`/`array_decls` and computing expression types
 //! bottom-up with the promotion rules in [`analyzer::types`] — which
-//! mirror `exec::try_binop`/`try_intrinsic` exactly. A chain instruction
-//! whose accumulator provably keeps one runtime tag is marked `Int` or
-//! `Real` and the executor runs a typed accumulator loop instead of
-//! per-operation tag dispatch; anything unprovable stays `Dyn`.
+//! mirror `exec::try_binop`/`try_intrinsic` exactly. A straight-line
+//! statement whose every operand type is known compiles to plain
+//! `f64`/`i64` register ops; one with an unknown type stays on the
+//! tree-walker.
 //!
-//! The verdicts are conservative *and* double-checked: the typed loops in
-//! `exec` still inspect the fetched tags and fall back to the generic
-//! evaluator on any mismatch (re-fetching is pure), so a wrong verdict
-//! could only cost speed, never change a result.
+//! One type is only *declared*, not proven: an array parameter's element
+//! type, since sequence association lets a caller pass storage of either
+//! type. The executor checks each view's storage type at block entry and
+//! walks the block's statements instead when it differs.
 
-use crate::lower::{ChainTy, Instr, Intr, LExpr, LProc, LProgram, LStmt, Operand};
+use crate::lower::{Intr, LExpr, LProc, LProgram, LStmt};
 use analyzer::types::{binop_ty, intrinsic_ty, unop_ty, ProcTypes, Ty, TypeReport};
-use fir::ast::BinOp;
 
 /// Owned slot-type tables for one procedure.
 pub(crate) struct ProcTyEnv {
@@ -94,138 +93,34 @@ pub(crate) fn lexpr_ty(e: &LExpr, env: &ProcTyEnv) -> Ty {
     }
 }
 
-pub(crate) fn operand_ty(o: &Operand, env: &ProcTyEnv) -> Ty {
-    match o {
-        Operand::Const(v) => Ty::of_scalar_type(v.ty()),
-        Operand::Var(slot) => env.scalars[*slot as usize].clone(),
-        Operand::Hoisted(slot) => env.hoists[*slot as usize].clone(),
-        Operand::Load { slot, .. } => env.arrays[*slot as usize].clone(),
-        Operand::LoadErr { .. } => Ty::Unknown,
-        Operand::Un { op, operand } => unop_ty(*op, &operand_ty(operand, env)),
-        Operand::Bin { op, a, b } => binop_ty(*op, &operand_ty(a, env), &operand_ty(b, env)),
-        Operand::Intr { op, args, .. } => match intr_rule_name(*op) {
-            Some(name) => {
-                let tys: Vec<Ty> = args.iter().map(|a| operand_ty(a, env)).collect();
-                intrinsic_ty(name, &tys)
-            }
-            None => Ty::Unknown,
-        },
-    }
-}
-
-/// Classify one chain. `Real` needs only the *first* operand to be a
-/// real and every operator to be `+ - * /`: once the accumulator is
-/// real, `eval_binop` promotes any right operand — so the typed f64 loop
-/// is bit-identical regardless of the operands' tags. `Int` needs every
-/// operand provably integer and operators within `+ - *` (integer
-/// division and `**` can error and stay on the general path).
-pub(crate) fn chain_mono(first: &Operand, rest: &[(BinOp, Operand)], env: &ProcTyEnv) -> ChainTy {
-    use BinOp::*;
-    if rest.is_empty() {
-        // A bare store: no operator dispatch to skip.
-        return ChainTy::Dyn;
-    }
-    let first_ty = operand_ty(first, env);
-    if first_ty == Ty::Real && rest.iter().all(|(op, _)| matches!(op, Add | Sub | Mul | Div)) {
-        return ChainTy::Real;
-    }
-    if first_ty == Ty::Int
-        && rest.iter().all(|(op, o)| {
-            matches!(op, Add | Sub | Mul) && operand_ty(o, env) == Ty::Int
-        })
-    {
-        return ChainTy::Int;
-    }
-    ChainTy::Dyn
-}
-
-/// Annotate every chain instruction in `proc` with its monomorphism
-/// verdict. Returns `(typed, dynamic)` chain counts.
-pub(crate) fn annotate_proc(proc: &mut LProc) -> (usize, usize) {
-    let mut env = ProcTyEnv::new(proc);
-    let mut counts = (0usize, 0usize);
-    let mut body = std::mem::take(&mut proc.body);
-    annotate_stmts(&mut body, &mut env, &mut counts);
-    proc.body = body;
-    counts
-}
-
-fn annotate_stmts(stmts: &mut [LStmt], env: &mut ProcTyEnv, counts: &mut (usize, usize)) {
+/// Count straight-line statements: `(typed, untyped)` — compiled into
+/// typed blocks, or left to the tree-walker.
+fn count_stmts(stmts: &[LStmt], counts: &mut (usize, usize)) {
     for s in stmts {
         match s {
-            LStmt::Do { body, hoists, .. } => {
-                // Hoists evaluate at loop entry, before the body — type
-                // them first so body chains can use their slots.
-                for h in hoists.iter() {
-                    let t = lexpr_ty(&h.expr, env);
-                    env.hoists[h.slot as usize] = t;
-                }
-                annotate_stmts(body, env, counts);
-            }
+            LStmt::Do { body, .. } => count_stmts(body, counts),
             LStmt::If {
                 then_body,
                 else_body,
                 ..
             } => {
-                annotate_stmts(then_body, env, counts);
-                annotate_stmts(else_body, env, counts);
+                count_stmts(then_body, counts);
+                count_stmts(else_body, counts);
             }
-            LStmt::Block { code, .. } => {
-                for ins in code {
-                    match ins {
-                        Instr::ChainScalar {
-                            first, rest, mono, ..
-                        }
-                        | Instr::ChainArray {
-                            first, rest, mono, ..
-                        } => {
-                            *mono = chain_mono(first, rest, env);
-                            if *mono == ChainTy::Dyn {
-                                counts.1 += 1;
-                            } else {
-                                counts.0 += 1;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
+            LStmt::Block { stmts, .. } => {
+                counts.0 += stmts
+                    .iter()
+                    .filter(|s| !matches!(s, LStmt::SetVar { .. }))
+                    .count();
             }
+            LStmt::AssignScalar { .. } | LStmt::AssignArray { .. } => counts.1 += 1,
             _ => {}
         }
     }
 }
 
-fn count_chains(stmts: &[LStmt], counts: &mut (usize, usize)) {
-    for s in stmts {
-        match s {
-            LStmt::Do { body, .. } => count_chains(body, counts),
-            LStmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                count_chains(then_body, counts);
-                count_chains(else_body, counts);
-            }
-            LStmt::Block { code, .. } => {
-                for ins in code {
-                    if let Instr::ChainScalar { mono, .. } | Instr::ChainArray { mono, .. } = ins
-                    {
-                        if *mono == ChainTy::Dyn {
-                            counts.1 += 1;
-                        } else {
-                            counts.0 += 1;
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Infer slot-level types for `program` and report how many chain
-/// instructions the optimizer could specialize. Runs the same lowering
+/// Infer slot-level types for `program` and report how many assignment
+/// statements the optimizer compiled to typed register code. Runs the same lowering
 /// and optimization pipeline as execution (with default options), so the
 /// counts are exactly what [`crate::run_program`] runs.
 pub fn analyze_types(program: &fir::ast::Program) -> Result<TypeReport, fir::Errors> {
@@ -240,7 +135,7 @@ fn report_of(program: &LProgram) -> TypeReport {
     for proc in &program.procs {
         let env = ProcTyEnv::new(proc);
         let mut counts = (0usize, 0usize);
-        count_chains(&proc.body, &mut counts);
+        count_stmts(&proc.body, &mut counts);
         report.procs.push(ProcTypes {
             name: proc.name.clone(),
             scalars: proc
@@ -294,9 +189,10 @@ mod tests {
     }
 
     #[test]
-    fn integer_division_chain_stays_dynamic() {
-        // i / j can raise "integer division by zero" — the typed int loop
-        // excludes Div, so this chain must stay on the general path.
+    fn integer_division_compiles_typed() {
+        // `i / 2` has a known integer type: its zero check travels with
+        // the typed op instead of keeping the statement on the
+        // tree-walker. The 8-trip loop unrolls into 8 typed copies.
         let src = "program m\n\
                    integer :: k(8)\n\
                    do i = 1, 8\n\
@@ -305,7 +201,11 @@ mod tests {
                    end program";
         let program = fir::parse_validated(src).unwrap();
         let report = analyze_types(&program).unwrap();
-        assert_eq!(report.chains_typed(), 0, "{report:?}");
+        assert_eq!(
+            (report.chains_typed(), report.chains_dyn()),
+            (8, 0),
+            "{report:?}"
+        );
     }
 
     #[test]

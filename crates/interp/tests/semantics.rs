@@ -3,7 +3,7 @@
 //! complete parse → validate → simulate run.
 
 use clustersim::NetworkModel;
-use interp::{run_source, Data, RunError};
+use interp::{run_program_opts, run_source, Data, Options, RunError};
 
 fn run1(src: &str) -> interp::RankOutput {
     run_source(src, 1, &NetworkModel::mpich_gm())
@@ -99,6 +99,43 @@ fn loop_bounds_evaluated_once() {
         "program m\n  integer :: b(1), n\n  n = 3\n  do i = 1, n\n    n = 100\n    b(1) = b(1) + 1\n  end do\nend program",
     );
     assert_eq!(ints(&out, "b"), vec![3]);
+}
+
+/// A loop whose last value is `i64::MAX` — or, stepping down, `i64::MIN` —
+/// runs exactly its Fortran trip count instead of wrapping its counter
+/// past the bound. Pinned on every loop driver: the summarized loop
+/// (plain body, optimized), the resumable engine's loop (a body with a
+/// branch, or unoptimized) and the thread-per-rank executor's loop.
+#[test]
+fn loops_ending_at_the_integer_limits_terminate() {
+    let model = NetworkModel::mpich_gm();
+    for (lo, hi, step, last) in [
+        ("9223372036854775806", "9223372036854775807", "1", i64::MAX),
+        ("-9223372036854775807", "-9223372036854775807 - 1", "-1", i64::MIN),
+    ] {
+        for body in ["n = n + 1", "if (n >= 0) then\n      n = n + 1\n    end if"] {
+            let src = format!(
+                "program m\n  integer :: b(2)\n  n = 0\n  do i = {lo}, {hi}, {step}\n    {body}\n  end do\n  b(1) = n\n  b(2) = i\nend program"
+            );
+            let program = fir::parse(&src).unwrap();
+            for optimize in [true, false] {
+                for resumable in [true, false] {
+                    let opts = Options {
+                        optimize,
+                        resumable,
+                        ..Default::default()
+                    };
+                    let out = run_program_opts(&program, 1, &model, &opts)
+                        .unwrap_or_else(|e| panic!("{e}\n---\n{src}"));
+                    assert_eq!(
+                        ints(&out.outputs[0], "b"),
+                        vec![2, last],
+                        "optimize={optimize} resumable={resumable}\n{src}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Local verification gate: everything compiles (benches, examples, both
-# binaries), the full test suite passes, the harness binary actually
+# binaries, the perfbench benchmark), the full test suite passes, the harness binary actually
 # *executes* (quick sweep grid, seconds), the perf smoke confirms
 # wall-clock instrumentation and the simulator-core micro-bench run, and
 # clippy is clean at warnings-as-errors. Run from anywhere; operates on
@@ -11,6 +11,12 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release --workspace --all-targets"
 cargo build --release --workspace --all-targets
+
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+# The repo benchmark (BENCHMARK.json) is a workspace of its own, so the
+# workspace build above never compiles it: build it here, so an API change
+# in interp/driver/clustersim that breaks the benchmark fails this gate.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test -q"
 cargo test -q
@@ -242,7 +248,7 @@ grep -q "drained; exiting" target/sweepd.log || {
   exit 1
 }
 
-echo "==> perf smoke: simulator-core micro-bench (isend/recv + alltoall)"
+echo "==> perf smoke: simulator-core micro-bench (isend/recv + alltoall, resumable engine)"
 cargo bench -p clustersim --bench core_comm
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"

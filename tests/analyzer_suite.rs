@@ -4,9 +4,10 @@
 //!    diagnostic codes (golden — the codes are part of the tool's
 //!    interface, scripts grep for them);
 //! 2. every program the pipeline emits — registry × rank counts ×
-//!    original/pre-push — verifies clean;
-//! 3. the typed-chain specialization is invisible: virtual times,
-//!    per-rank stats, and outputs are byte-identical with it on or off.
+//!    original/pre-push — verifies clean.
+//!
+//! The type inference the optimizer's typed blocks rest on is pinned by
+//! `tests/opt_parity.rs`: typed blocks against the tree-walker.
 
 use overlap_suite::analyze::{verify_comm, CommCheckConfig};
 use overlap_suite::sweep::{analyze_registry, ModelSpec};
@@ -87,49 +88,5 @@ proptest! {
                 row.report.render_human(&row.source)
             );
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 8,
-        max_shrink_iters: 0,
-        ..ProptestConfig::default()
-    })]
-
-    /// Typed chains are a pure dispatch optimization: turning them off
-    /// changes nothing observable — same outputs, same per-rank virtual
-    /// times, same stats — on original and pre-push programs alike.
-    #[test]
-    fn typed_chains_are_byte_identical(
-        idx in 0usize..8,
-        np in prop::sample::select(vec![2usize, 4]),
-        prepush in any::<bool>(),
-    ) {
-        let entry = &workloads::registry()[idx];
-        let w = (entry.make)(SizeClass::Small, np);
-        let model = clustersim::NetworkModel::mpich_gm();
-        let program = if prepush {
-            overlap_suite::sweep::transform_workload(w.as_ref(), &model, None).program
-        } else {
-            w.program()
-        };
-
-        let on = interp::Options {
-            typed_chains: true,
-            ..Default::default()
-        };
-        let off = interp::Options {
-            typed_chains: false,
-            ..on.clone()
-        };
-
-        let a = interp::run_program_opts(&program, np, &model, &on).unwrap();
-        let b = interp::run_program_opts(&program, np, &model, &off).unwrap();
-        prop_assert_eq!(&a.outputs, &b.outputs, "{} outputs differ", entry.name);
-        prop_assert_eq!(
-            &a.report.per_rank, &b.report.per_rank,
-            "{} virtual-time stats differ", entry.name
-        );
     }
 }

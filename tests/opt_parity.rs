@@ -1,11 +1,12 @@
-//! Differential pinning of the `interp::opt` pass (PR 5): the optimized
+//! Differential pinning of the `interp::opt` pass: the optimized
 //! interpreter — constant folding, loop unrolling, loop-invariant
-//! hoisting, block-summarized cost accounting, chain compilation — must
-//! be *unobservable* next to the plain slot-indexed walk. For every
+//! hoisting, block-summarized cost accounting, typed register blocks —
+//! must be *unobservable* next to the plain slot-indexed walk. For every
 //! registry workload (original AND transformed program), and for a
 //! proptest-sampled space of rank counts, network models, cost scales,
 //! and option flags, virtual times, full per-rank stats, array payloads,
-//! and prints must be byte-identical.
+//! and prints must be byte-identical; and a table of failing programs
+//! must fail with the same runtime error, on the same rank.
 
 use clustersim::NetworkModel;
 use interp::{run_program_opts, CostModel, Options, RunResult};
@@ -122,5 +123,153 @@ proptest! {
             entry.name, model.name, scale_num
         );
         assert_identical(&plain, &fast, &what);
+    }
+}
+
+// ------------------------------------------------ runtime-error parity
+
+/// One row of the error-parity table: a program run on 2 ranks, where
+/// only rank 1 goes wrong, and the message it must fail with — or `None`
+/// for a program that must succeed.
+struct ErrorCase {
+    name: &'static str,
+    src: &'static str,
+    error: Option<&'static str>,
+}
+
+/// Loops run `n` (a variable, so they stay summarized loops rather than
+/// unrolling) iterations; rank 1's subscripts or divisors go wrong at the
+/// iteration the name says.
+const ERROR_CASES: &[ErrorCase] = &[
+    ErrorCase {
+        name: "out-of-bounds load, first iteration",
+        src: "program m\n  real :: a(32), b(32)\n  n = 32\n  do i = 1, n\n    b(i) = a(i - mynum) * 2.0\n  end do\nend program",
+        error: Some("subscript 0 of `a` out of bounds in dimension 1: valid 1..=32"),
+    },
+    ErrorCase {
+        name: "out-of-bounds load, middle iteration",
+        src: "program m\n  real :: a(32), b(32)\n  n = 32\n  do i = 1, n\n    b(i) = a(i + 16 * mynum) * 2.0\n  end do\nend program",
+        error: Some("subscript 33 of `a` out of bounds in dimension 1: valid 1..=32"),
+    },
+    ErrorCase {
+        name: "out-of-bounds load, last iteration",
+        src: "program m\n  real :: a(32), b(32)\n  n = 32\n  do i = 1, n\n    b(i) = a(i + mynum) * 2.0\n  end do\nend program",
+        error: Some("subscript 33 of `a` out of bounds in dimension 1: valid 1..=32"),
+    },
+    ErrorCase {
+        name: "out-of-bounds load, second dimension",
+        src: "program m\n  real :: g(4, 8), b(8)\n  n = 8\n  do j = 1, n\n    b(j) = g(2, j + 4 * mynum)\n  end do\nend program",
+        error: Some("subscript 9 of `g` out of bounds in dimension 2: valid 1..=8"),
+    },
+    ErrorCase {
+        name: "out-of-bounds store, first iteration",
+        src: "program m\n  real :: a(32), b(32)\n  n = 32\n  do i = 1, n\n    b(i - mynum) = a(i) + i\n  end do\nend program",
+        error: Some("subscript 0 of `b` out of bounds in dimension 1: valid 1..=32"),
+    },
+    ErrorCase {
+        name: "out-of-bounds store, middle iteration",
+        src: "program m\n  real :: a(32), b(32)\n  n = 32\n  do i = 1, n\n    b(i + 16 * mynum) = a(i) + i\n  end do\nend program",
+        error: Some("subscript 33 of `b` out of bounds in dimension 1: valid 1..=32"),
+    },
+    ErrorCase {
+        name: "out-of-bounds store, last iteration",
+        src: "program m\n  real :: a(32), b(32)\n  n = 32\n  do i = 1, n\n    b(i + mynum) = a(i) + i\n  end do\nend program",
+        error: Some("subscript 33 of `b` out of bounds in dimension 1: valid 1..=32"),
+    },
+    ErrorCase {
+        name: "integer division by zero in a block",
+        src: "program m\n  integer :: k(32)\n  n = 32\n  kz = 1 - mynum\n  do i = 1, n\n    k(i) = i / kz\n  end do\nend program",
+        error: Some("integer division by zero"),
+    },
+    ErrorCase {
+        name: "integer division by zero, middle iteration",
+        src: "program m\n  integer :: k(32)\n  n = 32\n  do i = 1, n\n    k(i) = 100 / (i - 100 + 84 * mynum)\n  end do\nend program",
+        error: Some("integer division by zero"),
+    },
+    ErrorCase {
+        name: "mod by zero in a block",
+        src: "program m\n  integer :: k(32)\n  n = 32\n  kz = 1 - mynum\n  do i = 1, n\n    k(i) = mod(i, kz) + 1\n  end do\nend program",
+        error: Some("mod by zero"),
+    },
+    ErrorCase {
+        // The store's subscript is out of range too, but the tree-walker
+        // evaluates the value before it checks the subscript.
+        name: "division by zero before an out-of-bounds store",
+        src: "program m\n  integer :: k(32)\n  n = 32\n  kz = 1 - mynum\n  do i = 1, n\n    k(i + 100 * mynum) = i / kz\n  end do\nend program",
+        error: Some("integer division by zero"),
+    },
+    ErrorCase {
+        // The load is evaluated before the division it feeds.
+        name: "out-of-bounds load before a division by zero",
+        src: "program m\n  integer :: k(32)\n  n = 32\n  kz = 1 - mynum\n  do i = 1, n\n    k(i) = k(i + 100 * mynum) / kz\n  end do\nend program",
+        error: Some("subscript 101 of `k` out of bounds in dimension 1: valid 1..=32"),
+    },
+    ErrorCase {
+        // The window has room past `at`'s declared extent; the declared
+        // shape is what bounds the store.
+        name: "store through a window parameter past its declared extent",
+        src: "subroutine fill(m, at)\n  integer :: m\n  real :: at(m)\n  do i = 1, m + mynum\n    at(i) = i * 0.5\n  end do\nend subroutine\n\nprogram main\n  real :: grid(4, 3)\n  call fill(4, grid(:, 2))\nend program",
+        error: Some("subscript 5 of `at` out of bounds in dimension 1: valid 1..=4"),
+    },
+    ErrorCase {
+        // Overlapping windows of one array: each iteration's store
+        // through one is read back through the other.
+        name: "two parameter windows over one array",
+        src: "subroutine mix(n, x, y)\n  integer :: n\n  real :: x(n), y(n)\n  do i = 1, n\n    x(i) = y(i) + 1.0\n    y(i) = x(i) * 2.0 + mynum\n  end do\nend subroutine\n\nprogram main\n  real :: g(12)\n  do i = 1, 12\n    g(i) = i\n  end do\n  call mix(6, g(1:6), g(4:9))\nend program",
+        error: None,
+    },
+    ErrorCase {
+        // Validation lets an inner loop reuse the outer loop's variable;
+        // after the loops it holds the inner loop's last value.
+        name: "inner loop reusing the outer loop's variable",
+        src: "program m\n  integer :: a(2)\n  n = 8 + mynum\n  do i = 1, n\n    do i = 1, 3\n      a(2) = a(2) + i\n    end do\n  end do\n  a(1) = i\nend program",
+        error: None,
+    },
+    ErrorCase {
+        // Sequence association is untyped: integer storage seen through
+        // a real parameter keeps integer arithmetic (`x(i) / 2`).
+        name: "integer storage through a real parameter",
+        src: "subroutine halve(n, x)\n  integer :: n\n  real :: x(n)\n  do i = 1, n\n    x(i) = x(i) / 2 + mynum\n  end do\nend subroutine\n\nprogram main\n  integer :: k(8)\n  do i = 1, 8\n    k(i) = i * 3\n  end do\n  call halve(8, k)\nend program",
+        error: None,
+    },
+];
+
+/// Every row, optimized and on the tree-walker: a failing program fails
+/// with the same `RunError` text on the same rank, and the text is the
+/// row's; a passing program produces identical outputs and stats.
+#[test]
+fn runtime_errors_match_the_tree_walker() {
+    let model = NetworkModel::mpich_gm();
+    for case in ERROR_CASES {
+        let program = fir::parse_validated(case.src)
+            .unwrap_or_else(|e| panic!("{}: {e}", case.name));
+        let mk = |optimize| Options {
+            optimize,
+            ..Default::default()
+        };
+        let plain = run_program_opts(&program, 2, &model, &mk(false));
+        let fast = run_program_opts(&program, 2, &model, &mk(true));
+        match (case.error, plain, fast) {
+            (None, Ok(plain), Ok(fast)) => assert_identical(&plain, &fast, case.name),
+            (Some(expected), Err(plain), Err(fast)) => {
+                assert_eq!(plain.to_string(), fast.to_string(), "{}", case.name);
+                let rank = |e: &interp::RunError| match e {
+                    interp::RunError::Sim(clustersim::SimError::RankPanic { rank, .. }) => *rank,
+                    other => panic!("{}: expected a rank panic, got {other}", case.name),
+                };
+                assert_eq!((rank(&plain), rank(&fast)), (1, 1), "{}", case.name);
+                assert!(
+                    fast.to_string().contains(expected),
+                    "{}: expected `{expected}` in `{fast}`",
+                    case.name
+                );
+            }
+            (expected, plain, fast) => panic!(
+                "{}: expected {expected:?}, tree-walker gave {:?}, optimized gave {:?}",
+                case.name,
+                plain.map(|_| "success"),
+                fast.map(|_| "success")
+            ),
+        }
     }
 }
