@@ -13,13 +13,14 @@
 //! Both produce byte-identical results, statistics, and traces (pinned by
 //! the differential suites; argument in DESIGN.md §3).
 
-use crate::comm::Comm;
+use crate::comm::{Comm, Finished};
 use crate::model::NetworkModel;
 use crate::pool;
 use crate::sched::{ParkOutcome, RankSched};
+use crate::script::Op;
 use crate::state::{Shared, WakeEvent};
-use crate::stats::{RankStats, Report};
-use crate::trace::{Event, Trace};
+use crate::stats::Report;
+use crate::trace::Trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
@@ -50,6 +51,10 @@ pub struct RunOutput<R> {
     pub report: Report,
     /// Present when the cluster was built with tracing enabled.
     pub trace: Option<Trace>,
+    /// Each rank's `Comm` calls as script operations, indexed by rank.
+    /// Present when the cluster was [recording](Cluster::recording) and
+    /// every rank's calls all had a script form.
+    pub ops: Option<Vec<Vec<Op>>>,
 }
 
 /// One quantum of resumable-rank progress.
@@ -75,21 +80,29 @@ pub trait RankMachine {
     fn step(&mut self, comm: &mut Comm) -> Step<Self::Out>;
 }
 
+/// The largest rank count a cluster accepts. The shared state keeps one
+/// mailbox per (source, destination) pair, so memory grows with np²;
+/// 512 is the largest np any committed grid runs.
+pub const MAX_NP: usize = 512;
+
 /// A simulated cluster: `np` ranks over one [`NetworkModel`].
 pub struct Cluster {
     np: usize,
     model: NetworkModel,
     traced: bool,
+    recording: bool,
     single_lock: bool,
 }
 
 impl Cluster {
     pub fn new(np: usize, model: NetworkModel) -> Self {
         assert!(np >= 1, "cluster needs at least one rank");
+        assert!(np <= MAX_NP, "cluster of {np} ranks exceeds the limit of {MAX_NP}");
         Cluster {
             np,
             model,
             traced: false,
+            recording: false,
             single_lock: false,
         }
     }
@@ -97,6 +110,14 @@ impl Cluster {
     /// Enable event tracing (costs memory; intended for tests/debugging).
     pub fn traced(mut self) -> Self {
         self.traced = true;
+        self
+    }
+
+    /// Log every rank's `Comm` calls as [`Op`]s into
+    /// [`RunOutput::ops`], so the run can be replayed as
+    /// [scripts](crate::script::Script) on other models.
+    pub fn recording(mut self) -> Self {
+        self.recording = true;
         self
     }
 
@@ -130,7 +151,7 @@ impl Cluster {
             Shared::new(self.np, self.model.clone())
         });
         let f = &f;
-        let traced = self.traced;
+        let (traced, recording) = (self.traced, self.recording);
 
         let slots: Vec<Mutex<Option<Result<_, SimError>>>> =
             (0..self.np).map(|_| Mutex::new(None)).collect();
@@ -141,10 +162,9 @@ impl Cluster {
                 let slots = &slots;
                 Box::new(move || {
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        let mut comm = Comm::new(shared, rank, traced);
+                        let mut comm = Comm::new(shared, rank, traced, recording);
                         let result = f(&mut comm);
-                        let (stats, events) = comm.finish();
-                        (result, stats, events)
+                        (result, comm.finish())
                     }));
                     *slots[rank].lock().unwrap() = Some(outcome.map_err(|payload| {
                         SimError::RankPanic {
@@ -161,7 +181,7 @@ impl Cluster {
             .into_iter()
             .map(|s| s.into_inner().unwrap())
             .collect();
-        gather(self.np, traced, slots)
+        gather(self.np, traced, recording, slots)
     }
 
     /// Run `np` resumable rank machines on a bounded worker set. `mk`
@@ -205,12 +225,13 @@ impl Cluster {
         // move ownership soundly between workers.
         let cells: Vec<Mutex<Option<RankCell<M>>>> = (0..self.np)
             .map(|rank| {
-                let mut comm = Comm::new(Arc::clone(&shared), rank, self.traced);
+                let mut comm =
+                    Comm::new(Arc::clone(&shared), rank, self.traced, self.recording);
                 let machine = mk(&mut comm);
                 Mutex::new(Some(RankCell { machine, comm }))
             })
             .collect();
-        type Slot<R> = Mutex<Option<Result<(R, RankStats, Vec<Event>), SimError>>>;
+        type Slot<R> = Mutex<Option<Result<(R, Finished), SimError>>>;
         let slots: Vec<Slot<M::Out>> = (0..self.np).map(|_| Mutex::new(None)).collect();
 
         let worker = || {
@@ -221,10 +242,7 @@ impl Cluster {
                 let cell = guard.as_mut().expect("scheduled rank has a live machine");
                 let stepped = catch_unwind(AssertUnwindSafe(|| {
                     match cell.machine.step(&mut cell.comm) {
-                        Step::Done(out) => {
-                            let (stats, events) = cell.comm.finish();
-                            Some((out, stats, events))
-                        }
+                        Step::Done(out) => Some((out, cell.comm.finish())),
                         Step::Blocked => None,
                     }
                 }));
@@ -290,7 +308,7 @@ impl Cluster {
             .into_iter()
             .map(|s| s.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner))
             .collect();
-        gather(self.np, self.traced, slots)
+        gather(self.np, self.traced, self.recording, slots)
     }
 }
 
@@ -307,11 +325,11 @@ fn default_workers(np: usize) -> usize {
 /// Collect per-rank slots into a [`RunOutput`], preferring the root-cause
 /// error over secondary "aborted: another rank failed" panics from
 /// poisoned peers.
-#[allow(clippy::type_complexity)]
 fn gather<R>(
     np: usize,
     traced: bool,
-    slots: Vec<Option<Result<(R, RankStats, Vec<Event>), SimError>>>,
+    recording: bool,
+    slots: Vec<Option<Result<(R, Finished), SimError>>>,
 ) -> Result<RunOutput<R>, SimError> {
     if slots.iter().any(|s| matches!(s, Some(Err(_)))) {
         let mut fallback = None;
@@ -330,16 +348,22 @@ fn gather<R>(
     let mut results = Vec::with_capacity(np);
     let mut report = Report::default();
     let mut traces = Vec::with_capacity(np);
+    let mut ops = recording.then(|| Vec::with_capacity(np));
     for slot in slots {
-        let (result, stats, events) = slot.expect("every rank joined")?;
+        let (result, done) = slot.expect("every rank joined")?;
         results.push(result);
-        report.per_rank.push(stats);
-        traces.push(events);
+        report.per_rank.push(done.stats);
+        traces.push(done.events);
+        ops = ops.zip(done.log).map(|(mut all, log)| {
+            all.push(log);
+            all
+        });
     }
     Ok(RunOutput {
         results,
         report,
         trace: traced.then(|| Trace::merged(traces)),
+        ops,
     })
 }
 

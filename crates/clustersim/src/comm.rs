@@ -16,6 +16,7 @@
 
 use crate::message::{InFlight, MsgKey};
 use crate::model::NetworkModel;
+use crate::script::Op;
 use crate::state::{CollectiveKind, Shared};
 use crate::stats::RankStats;
 use crate::time::SimTime;
@@ -43,6 +44,13 @@ struct PendingColl {
     bytes_per: usize,
 }
 
+/// What [`Comm::finish`] hands back to the runner.
+pub(crate) struct Finished {
+    pub stats: RankStats,
+    pub events: Vec<Event>,
+    pub log: Option<Vec<Op>>,
+}
+
 /// One rank's endpoint into the simulated cluster.
 pub struct Comm {
     shared: Arc<Shared>,
@@ -57,10 +65,14 @@ pub struct Comm {
     pending_coll: Option<PendingColl>,
     stats: RankStats,
     trace: Option<Vec<Event>>,
+    /// The calls made so far, as replayable script operations (when the
+    /// cluster is [recording](crate::Cluster::recording) and every call
+    /// so far had an [`Op`] form).
+    log: Option<Vec<Op>>,
 }
 
 impl Comm {
-    pub(crate) fn new(shared: Arc<Shared>, rank: usize, traced: bool) -> Self {
+    pub(crate) fn new(shared: Arc<Shared>, rank: usize, traced: bool, recording: bool) -> Self {
         Comm {
             shared,
             rank,
@@ -75,6 +87,25 @@ impl Comm {
                 ..Default::default()
             },
             trace: traced.then(Vec::new),
+            log: recording.then(Vec::new),
+        }
+    }
+
+    fn log(&mut self, op: Op) {
+        if let Some(log) = &mut self.log {
+            log.push(op);
+        }
+    }
+
+    /// Log a computation span, merged into an immediately preceding one:
+    /// integer addition is associative, so one [`Op::ComputeExact`] of
+    /// the sum moves the clock and `compute` exactly as the parts did.
+    fn log_compute(&mut self, dt: SimTime) {
+        if let Some(log) = &mut self.log {
+            match log.last_mut() {
+                Some(Op::ComputeExact(sum)) => *sum += dt,
+                _ => log.push(Op::ComputeExact(dt)),
+            }
         }
     }
 
@@ -111,6 +142,7 @@ impl Comm {
         self.clock += dt;
         self.stats.compute += dt;
         self.emit(EventKind::Compute { ns: dt.as_ns() });
+        self.log_compute(dt);
     }
 
     /// Charge an already-rounded computation span to this rank. Callers
@@ -122,6 +154,7 @@ impl Comm {
         self.clock += dt;
         self.stats.compute += dt;
         self.emit(EventKind::Compute { ns: dt.as_ns() });
+        self.log_compute(dt);
     }
 
     /// Non-blocking send. CPU pays `o + β_s·S`; the NIC takes over.
@@ -133,6 +166,11 @@ impl Comm {
         assert!(dst < self.np(), "isend to rank {dst} of {}", self.np());
         assert_ne!(dst, self.rank, "isend to self is not modeled; copy locally");
         let n = payload.len();
+        self.log(Op::Send {
+            to: dst,
+            tag,
+            bytes: n,
+        });
         let cpu = self.shared.model.send_cpu_at(self.rank, self.shared.np, n);
         self.clock += cpu;
         self.stats.comm_cpu += cpu;
@@ -177,6 +215,7 @@ impl Comm {
             },
         });
         self.emit(EventKind::RecvPosted { src, tag });
+        self.log(Op::Recv { from: src, tag });
         id
     }
 
@@ -187,6 +226,8 @@ impl Comm {
             .iter()
             .position(|p| p.id == id)
             .expect("wait_recv on unknown or already-completed RecvId");
+        // Waiting on one receive by handle has no script form.
+        self.log = None;
         let pending = self.pending_recvs.remove(pos);
         let (arrival, payload) = self.shared.match_one(pending.key);
         self.absorb_arrival(arrival, pending.key, &payload);
@@ -199,6 +240,7 @@ impl Comm {
     /// the top of each tile to drain the previous tile's receives (paper
     /// §3.6 step 2).
     pub fn wait_all_recvs(&mut self) -> Vec<(RecvId, Bytes)> {
+        self.log(Op::WaitRecvs);
         if self.pending_recvs.is_empty() {
             return Vec::new();
         }
@@ -242,10 +284,13 @@ impl Comm {
         self.shared
             .check_aborts(self.rank, "waiting for posted receives");
         if self.pending_recvs.is_empty() {
+            self.log(Op::WaitRecvs);
             return Some(Vec::new());
         }
         let keys: Vec<MsgKey> = self.pending_recvs.iter().map(|p| p.key).collect();
         let matched = self.shared.try_match_all(self.rank, &keys)?;
+        // Logged at completion only, so re-polls after `None` log nothing.
+        self.log(Op::WaitRecvs);
         let pendings = std::mem::take(&mut self.pending_recvs);
         let mut out = Vec::with_capacity(pendings.len());
         for (p, (arrival, payload)) in pendings.into_iter().zip(matched) {
@@ -268,6 +313,7 @@ impl Comm {
             self.clock = drained;
         }
         self.emit(EventKind::SendsDrained { until: drained });
+        self.log(Op::Drain);
     }
 
     /// Wait for all outstanding sends (NIC drained — buffers reusable) and
@@ -293,6 +339,15 @@ impl Comm {
             self.np(),
             "alltoall needs one payload per rank"
         );
+        // Collectives log at their begin, which runs exactly once each.
+        if self.log.is_some() {
+            let sizes: Vec<usize> = payload_per_dst.iter().map(Bytes::len).collect();
+            self.log(if sizes.iter().all(|&n| n == sizes[0]) {
+                Op::Alltoall { bytes: sizes[0] }
+            } else {
+                Op::AlltoallV { bytes: sizes }
+            });
+        }
         let bytes_per = payload_per_dst
             .iter()
             .enumerate()
@@ -378,6 +433,7 @@ impl Comm {
             "collective already in flight on rank {}",
             self.rank
         );
+        self.log(Op::Barrier);
         let entry = self.clock;
         let idx = self.collective_idx;
         self.collective_idx += 1;
@@ -430,7 +486,8 @@ impl Comm {
         self.outstanding_sends.len()
     }
 
-    pub(crate) fn finish(&mut self) -> (RankStats, Vec<Event>) {
+    /// The rank's final statistics, trace events, and call log.
+    pub(crate) fn finish(&mut self) -> Finished {
         assert!(
             self.pending_recvs.is_empty(),
             "rank {} finished with {} unmatched receives",
@@ -438,10 +495,11 @@ impl Comm {
             self.pending_recvs.len()
         );
         self.stats.finish = self.clock;
-        (
-            std::mem::take(&mut self.stats),
-            self.trace.take().unwrap_or_default(),
-        )
+        Finished {
+            stats: std::mem::take(&mut self.stats),
+            events: self.trace.take().unwrap_or_default(),
+            log: self.log.take(),
+        }
     }
 
     /// Read-only view of the running stats (tests).

@@ -43,7 +43,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use cluster::{Cluster, RankMachine, RunOutput, SimError, Step};
+pub use cluster::{Cluster, RankMachine, RunOutput, SimError, Step, MAX_NP};
 pub use pool::PoolStats;
 pub use comm::{Comm, RecvId};
 pub use model::{HeteroProfile, NetModel, NetworkModel};

@@ -477,6 +477,10 @@ fn wall_diff(baseline_path: &str, candidate_path: &str) -> Result<(), i32> {
         "compile cache: {} -> {} hit(s), {} -> {} miss(es); reused rows {} -> {}",
         a.cache_hits, b.cache_hits, a.cache_misses, b.cache_misses, a.reused_rows, b.reused_rows,
     );
+    println!(
+        "simulations: full {} -> {}, replayed {} -> {}",
+        a.full_runs, b.full_runs, a.replayed_runs, b.replayed_runs,
+    );
     Ok(())
 }
 

@@ -7,6 +7,11 @@
 //! scenario (analysis bug, equivalence failure, unknown workload) becomes
 //! an *error row*, not a dead sweep.
 //!
+//! Scheduling is by *shape group*: the rows that share (workload, size,
+//! np) run back to back on one worker, so a program interpreted for one
+//! model can be replayed for the group's other models
+//! ([`crate::replay`]). A lone row is simulated in full, unrecorded.
+//!
 //! Threading: sweep workers run as *helper* tasks on the persistent
 //! [`clustersim::pool`] (no fresh OS threads per sweep), and each
 //! scenario's simulated ranks are scheduled onto the same pool under
@@ -16,7 +21,8 @@
 
 use crate::cache::{self, CacheStats};
 use crate::event::{EventSink, NullSink, ProgressEvent};
-use crate::measure::{measure_cached, measure_original_cached};
+use crate::measure::{measure_original_with, measure_with};
+use crate::replay::{RunCounts, Simulator};
 use crate::spec::{ScenarioSpec, Variant};
 use crate::SweepGrid;
 use std::cell::Cell;
@@ -127,6 +133,11 @@ pub struct SweepTiming {
     /// Baseline rows reused instead of re-simulated (`--incremental`
     /// only; 0 for a plain sweep).
     pub reused_rows: usize,
+    /// Program simulations interpreted in full this sweep.
+    pub full_runs: u64,
+    /// Program simulations replayed from a recording made for another
+    /// model of the same shape group.
+    pub replayed_runs: u64,
     /// `(scenario key, wall_ms)` per record, in record order.
     pub per_scenario: Vec<(String, f64)>,
 }
@@ -218,6 +229,15 @@ pub fn run_scenario(spec: &ScenarioSpec) -> SweepRecord {
 /// [`run_scenario`] against an explicit cache (tests use private caches
 /// to observe exact hit/miss counts).
 pub fn run_scenario_in(spec: &ScenarioSpec, compile_cache: &cache::CompileCache) -> SweepRecord {
+    run_scenario_with(spec, compile_cache, &Simulator::full(&RunCounts::default()))
+}
+
+/// [`run_scenario_in`] with the simulations run by `sim`.
+fn run_scenario_with(
+    spec: &ScenarioSpec,
+    compile_cache: &cache::CompileCache,
+    sim: &Simulator,
+) -> SweepRecord {
     let t0 = Instant::now();
     // The input hash is computed as soon as the workload exists, outside
     // the Result flow, so even a row that *errors* mid-measurement still
@@ -245,7 +265,7 @@ pub fn run_scenario_in(spec: &ScenarioSpec, compile_cache: &cache::CompileCache)
         rec.status = RunStatus::Ok;
         match spec.variant {
             Variant::Compare => {
-                let m = measure_cached(compile_cache, spec, &*w, &model);
+                let m = measure_with(sim, compile_cache, spec, &*w, &model);
                 rec.tile_size = m.tile_size;
                 rec.strategy = m.strategy.clone();
                 rec.orig_ns = Some(m.orig.as_ns());
@@ -256,7 +276,7 @@ pub fn run_scenario_in(spec: &ScenarioSpec, compile_cache: &cache::CompileCache)
             }
             Variant::Original => {
                 let (makespan, exposed) =
-                    measure_original_cached(compile_cache, spec, &*w, &model);
+                    measure_original_with(sim, compile_cache, spec, &*w, &model);
                 rec.orig_ns = Some(makespan.as_ns());
                 rec.orig_exposed_ns = Some(exposed.as_ns());
             }
@@ -268,8 +288,8 @@ pub fn run_scenario_in(spec: &ScenarioSpec, compile_cache: &cache::CompileCache)
                     .opportunities
                     .iter()
                     .find_map(|o| o.strategy.map(|s| s.to_string()));
-                let r = compiled
-                    .run(spec.np, &model)
+                let r = sim
+                    .simulate(|| fir::unparse(&out.program), &compiled, spec.np, &model)
                     .map_err(|e| format!("transformed run failed: {e}"))?;
                 rec.prepush_ns = Some(r.report.makespan().as_ns());
                 rec.prepush_exposed_ns = Some(r.report.max_exposed_comm().as_ns());
@@ -317,9 +337,9 @@ pub fn run_sweep_with(grid: &SweepGrid, threads: usize, sink: &dyn EventSink) ->
     });
     let t0 = Instant::now();
     let cache_before = cache::global().stats();
-    let records = run_specs_with(&specs, threads, sink);
+    let (records, runs) = run_specs_counted(&specs, threads, sink);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let result = finish_sweep(records, wall_ms, cache_before, 0);
+    let result = finish_sweep(records, wall_ms, cache_before, 0, runs);
     emit_finished(sink, &result);
     result
 }
@@ -342,6 +362,7 @@ fn finish_sweep(
     wall_ms: f64,
     cache_before: CacheStats,
     reused_rows: usize,
+    (full_runs, replayed_runs): (u64, u64),
 ) -> SweepResult {
     let summary = summarize(&records, wall_ms);
     let cache_delta = cache::global().stats().since(&cache_before);
@@ -353,6 +374,8 @@ fn finish_sweep(
         cache_hits: cache_delta.hits,
         cache_misses: cache_delta.misses,
         reused_rows,
+        full_runs,
+        replayed_runs,
         per_scenario: records
             .iter()
             .map(|r| (r.spec.key(), r.wall_ms))
@@ -451,7 +474,7 @@ pub fn run_sweep_incremental_with(
         }
     }
 
-    let fresh = run_specs_with(&fresh_specs, threads, sink);
+    let (fresh, runs) = run_specs_counted(&fresh_specs, threads, sink);
     for (i, rec) in fresh_idx.into_iter().zip(fresh) {
         merged[i] = Some(rec);
     }
@@ -463,7 +486,7 @@ pub fn run_sweep_incremental_with(
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let reused_rows = reused.iter().filter(|r| **r).count();
     let outcome = IncrementalOutcome {
-        result: finish_sweep(records, wall_ms, cache_before, reused_rows),
+        result: finish_sweep(records, wall_ms, cache_before, reused_rows, runs),
         reused,
     };
     emit_finished(sink, &outcome.result);
@@ -477,10 +500,14 @@ pub fn run_specs(specs: &[ScenarioSpec], threads: usize) -> Vec<SweepRecord> {
 }
 
 /// Run one scenario, emitting the started/finished event pair around it.
-fn run_scenario_reported(spec: &ScenarioSpec, sink: &dyn EventSink) -> SweepRecord {
+fn run_scenario_reported(
+    spec: &ScenarioSpec,
+    sim: &Simulator,
+    sink: &dyn EventSink,
+) -> SweepRecord {
     sink.emit(ProgressEvent::ScenarioStarted { key: spec.key() });
     let cache_warm = cache::global().warm_for(spec);
-    let rec = run_scenario(spec);
+    let rec = run_scenario_with(spec, cache::global(), sim);
     sink.emit(ProgressEvent::ScenarioFinished {
         key: rec.spec.key(),
         ok: rec.is_ok(),
@@ -491,6 +518,23 @@ fn run_scenario_reported(spec: &ScenarioSpec, sink: &dyn EventSink) -> SweepReco
     rec
 }
 
+/// Spec indices grouped by shape (workload, size, np), groups in order of
+/// first appearance and rows in spec order within each.
+fn shape_groups(specs: &[ScenarioSpec]) -> Vec<Vec<usize>> {
+    let mut index: HashMap<(&str, &str, usize), usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, s) in specs.iter().enumerate() {
+        let g = *index
+            .entry((s.workload.as_str(), s.size.id(), s.np))
+            .or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+        groups[g].push(i);
+    }
+    groups
+}
+
 /// [`run_specs`] with per-scenario progress events. Events for different
 /// scenarios interleave in completion order; the *records* still come
 /// back in spec order.
@@ -499,65 +543,86 @@ pub fn run_specs_with(
     threads: usize,
     sink: &dyn EventSink,
 ) -> Vec<SweepRecord> {
+    run_specs_counted(specs, threads, sink).0
+}
+
+/// [`run_specs_with`], also returning `(full_runs, replayed_runs)`.
+/// Whole shape groups are dealt round-robin into per-worker deques; a
+/// group of several rows shares one replay memo.
+fn run_specs_counted(
+    specs: &[ScenarioSpec],
+    threads: usize,
+    sink: &dyn EventSink,
+) -> (Vec<SweepRecord>, (u64, u64)) {
     if specs.is_empty() {
-        return Vec::new();
+        return (Vec::new(), (0, 0));
     }
+    let groups = shape_groups(specs);
     let nthreads = if threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
         threads
     }
-    .min(specs.len())
+    .min(groups.len())
     .max(1);
 
-    if nthreads == 1 {
-        return specs
-            .iter()
-            .map(|spec| run_scenario_reported(spec, sink))
-            .collect();
-    }
-
-    // Round-robin deal into per-worker deques.
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..nthreads)
-        .map(|w| Mutex::new((w..specs.len()).step_by(nthreads).collect()))
-        .collect();
+    let counts = RunCounts::default();
     let slots: Vec<Mutex<Option<SweepRecord>>> =
         specs.iter().map(|_| Mutex::new(None)).collect();
+    let run_group = |rows: &[usize]| {
+        let sim = if rows.len() > 1 {
+            Simulator::replaying(&counts)
+        } else {
+            Simulator::full(&counts)
+        };
+        for &idx in rows {
+            *slots[idx].lock().unwrap() = Some(run_scenario_reported(&specs[idx], &sim, sink));
+        }
+    };
 
-    // Worker loops run as *helper* tasks on the persistent pool (the
-    // first on this thread): no fresh OS threads per sweep, and each
-    // worker becomes rank 0 of the scenarios it runs.
-    let workers: Vec<Box<dyn FnOnce() + Send + '_>> = (0..nthreads)
-        .map(|me| {
-            let deques = &deques;
-            let slots = &slots;
-            Box::new(move || loop {
-                // Own work first (front), then steal from a victim (back).
-                let mut next = deques[me].lock().unwrap().pop_front();
-                if next.is_none() {
-                    for v in 1..nthreads {
-                        next = deques[(me + v) % nthreads].lock().unwrap().pop_back();
-                        if next.is_some() {
-                            break;
+    if nthreads == 1 {
+        groups.iter().for_each(|g| run_group(g));
+    } else {
+        // Round-robin deal into per-worker deques.
+        let deques: Vec<Mutex<VecDeque<usize>>> = (0..nthreads)
+            .map(|w| Mutex::new((w..groups.len()).step_by(nthreads).collect()))
+            .collect();
+
+        // Worker loops run as *helper* tasks on the persistent pool (the
+        // first on this thread): no fresh OS threads per sweep, and each
+        // worker becomes rank 0 of the scenarios it runs.
+        let workers: Vec<Box<dyn FnOnce() + Send + '_>> = (0..nthreads)
+            .map(|me| {
+                let deques = &deques;
+                let (groups, run_group) = (&groups, &run_group);
+                Box::new(move || loop {
+                    // Own work first (front), then steal from a victim (back).
+                    let mut next = deques[me].lock().unwrap().pop_front();
+                    if next.is_none() {
+                        for v in 1..nthreads {
+                            next = deques[(me + v) % nthreads].lock().unwrap().pop_back();
+                            if next.is_some() {
+                                break;
+                            }
                         }
                     }
-                }
-                let Some(idx) = next else { break };
-                let rec = run_scenario_reported(&specs[idx], sink);
-                *slots[idx].lock().unwrap() = Some(rec);
-            }) as _
-        })
-        .collect();
-    clustersim::pool::scope_helpers(workers);
+                    let Some(g) = next else { break };
+                    run_group(&groups[g]);
+                }) as _
+            })
+            .collect();
+        clustersim::pool::scope_helpers(workers);
+    }
 
-    slots
+    let records = slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
                 .unwrap()
                 .expect("every scenario index was claimed by exactly one worker")
         })
-        .collect()
+        .collect();
+    (records, counts.get())
 }
 
 #[cfg(test)]

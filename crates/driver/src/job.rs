@@ -152,7 +152,8 @@ pub enum SubmitError {
     QueueFull { capacity: usize, retry_after_s: u64 },
     /// The core is draining; no new work is admitted.
     ShuttingDown,
-    /// The grid source did not resolve (unreadable file, bad TOML, …).
+    /// The grid source did not resolve (unreadable file, bad TOML, …) or
+    /// asks for more ranks than [`clustersim::MAX_NP`].
     Invalid(String),
 }
 
@@ -322,6 +323,12 @@ impl JobCore {
     /// ([`ProgressEvent::JobAccepted`]) is logged before this returns.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
         let grid = spec.source.resolve().map_err(SubmitError::Invalid)?;
+        if let Some(np) = grid.nps.iter().find(|&&np| np > clustersim::MAX_NP) {
+            return Err(SubmitError::Invalid(format!(
+                "np {np} exceeds the limit of {} ranks",
+                clustersim::MAX_NP
+            )));
+        }
         let scenarios = grid.expand().len();
         let mut st = self.inner.lock();
         if st.shutting_down {
@@ -673,6 +680,21 @@ mod tests {
         }
         assert_eq!(core.queue_len(), 0);
         assert!(core.submit(JobSpec::grid(tiny_grid())).is_ok());
+    }
+
+    #[test]
+    fn oversized_np_is_refused_at_admission() {
+        let core = JobCore::new_inert(1);
+        let huge = tiny_grid().nps([2, clustersim::MAX_NP + 1]);
+        match core.submit(JobSpec::grid(huge)) {
+            Err(SubmitError::Invalid(msg)) => {
+                assert!(msg.contains(&clustersim::MAX_NP.to_string()), "{msg}");
+            }
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        assert_eq!(core.queue_len(), 0);
+        let largest = tiny_grid().nps([clustersim::MAX_NP]);
+        assert!(core.submit(JobSpec::grid(largest)).is_ok());
     }
 
     #[test]

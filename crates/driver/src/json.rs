@@ -515,6 +515,8 @@ pub fn to_json_string(result: &SweepResult) -> String {
                 ("cache_hits".into(), Json::Int(t.cache_hits as i64)),
                 ("cache_misses".into(), Json::Int(t.cache_misses as i64)),
                 ("reused_rows".into(), Json::Int(t.reused_rows as i64)),
+                ("full_runs".into(), Json::Int(t.full_runs as i64)),
+                ("replayed_runs".into(), Json::Int(t.replayed_runs as i64)),
                 (
                     "per_scenario".into(),
                     Json::Arr(
@@ -689,7 +691,8 @@ fn timing_from_json(t: &Json) -> Result<SweepTiming, String> {
         .as_u64()
         .ok_or("timing: `workers_high_water` must be an integer")?
         as usize;
-    // Absent before v3: zero, not an error.
+    // Absent before v3 (and the run counts before replay): zero, not an
+    // error.
     let opt_count = |key: &str| -> Result<u64, String> {
         match t.get(key) {
             None | Some(Json::Null) => Ok(0),
@@ -701,6 +704,8 @@ fn timing_from_json(t: &Json) -> Result<SweepTiming, String> {
     let cache_hits = opt_count("cache_hits")?;
     let cache_misses = opt_count("cache_misses")?;
     let reused_rows = opt_count("reused_rows")? as usize;
+    let full_runs = opt_count("full_runs")?;
+    let replayed_runs = opt_count("replayed_runs")?;
     let per_scenario = match field(t, "per_scenario", what)? {
         Json::Arr(items) => items
             .iter()
@@ -724,6 +729,8 @@ fn timing_from_json(t: &Json) -> Result<SweepTiming, String> {
         cache_hits,
         cache_misses,
         reused_rows,
+        full_runs,
+        replayed_runs,
         per_scenario,
     })
 }
@@ -833,6 +840,8 @@ mod tests {
             cache_hits: 3,
             cache_misses: 2,
             reused_rows: 1,
+            full_runs: 4,
+            replayed_runs: 2,
             per_scenario: vec![("k".into(), 1.5)],
         });
         let v3 = to_json_string(&result);
@@ -844,6 +853,8 @@ mod tests {
                     && !l.contains("\"cache_hits\"")
                     && !l.contains("\"cache_misses\"")
                     && !l.contains("\"reused_rows\"")
+                    && !l.contains("\"full_runs\"")
+                    && !l.contains("\"replayed_runs\"")
             })
             .collect::<Vec<_>>()
             .join("\n");
@@ -854,6 +865,7 @@ mod tests {
         assert!(back.records.iter().all(|r| r.input_hash.is_none()));
         let t = back.timing.unwrap();
         assert_eq!((t.cache_hits, t.cache_misses, t.reused_rows), (0, 0, 0));
+        assert_eq!((t.full_runs, t.replayed_runs), (0, 0));
 
         // And a malformed hash is an error, not a silent None.
         let bad = v3.replace("0123456789abcdef", "not-hex-not-16");
@@ -872,6 +884,8 @@ mod tests {
             cache_hits: 40,
             cache_misses: 14,
             reused_rows: 94,
+            full_runs: 12,
+            replayed_runs: 36,
             per_scenario: vec![],
         });
         let text = to_json_string(&result);

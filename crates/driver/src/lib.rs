@@ -50,6 +50,7 @@ pub mod grid;
 pub mod job;
 pub mod json;
 pub mod measure;
+mod replay;
 pub mod spec;
 mod text;
 pub mod toml;

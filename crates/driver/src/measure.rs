@@ -6,11 +6,12 @@
 //! executor and the bench layer share one implementation.)
 
 use crate::cache::CompileCache;
+use crate::replay::{RunCounts, Simulator};
 use crate::spec::ScenarioSpec;
-use clustersim::{NetModel, NetworkModel, SimTime};
+use clustersim::{NetModel, NetworkModel, Report, SimTime};
 use compuniformer::kselect::ModelCaps;
 use compuniformer::{transform, Options, TransformOutput, UserOracle};
-use interp::{run_program, RunResult};
+use interp::{run_program, RankOutput};
 use workloads::Workload;
 
 /// Measured figures for one (workload, np, model) point.
@@ -111,8 +112,8 @@ pub fn measure(
     let pre = run_program(&out.program, np, model)
         .unwrap_or_else(|e| panic!("`{}` transformed failed: {e}", w.name()));
 
-    check_equivalence(w, np, &out, &base, &pre);
-    build_measurement(w, np, model, &out, &base, &pre)
+    check_equivalence(w, np, &out, &base.outputs, &pre.outputs);
+    build_measurement(w, np, model, &out, &base.report, &pre.report)
 }
 
 /// [`measure`], but with parse → transform → lower → opt → typecheck
@@ -125,18 +126,35 @@ pub fn measure_cached(
     w: &dyn Workload,
     model: &NetworkModel,
 ) -> Measurement {
+    measure_with(&Simulator::full(&RunCounts::default()), cache, spec, w, model)
+}
+
+/// [`measure_cached`] with the simulations run by `sim` — replayed from
+/// a recording when its shape group already ran the program. The §4 gate
+/// compares the outputs either way.
+pub(crate) fn measure_with(
+    sim: &Simulator,
+    cache: &CompileCache,
+    spec: &ScenarioSpec,
+    w: &dyn Workload,
+    model: &NetworkModel,
+) -> Measurement {
     let np = spec.np;
-    let base = cache
-        .original(spec, w)
-        .run(np, model)
+    let base = sim
+        .simulate(
+            || fir::unparse(&w.program()),
+            &cache.original(spec, w),
+            np,
+            model,
+        )
         .unwrap_or_else(|e| panic!("`{}` original failed: {e}", w.name()));
     let (out, compiled) = cache.transformed(spec, w, model);
-    let pre = compiled
-        .run(np, model)
+    let pre = sim
+        .simulate(|| fir::unparse(&out.program), &compiled, np, model)
         .unwrap_or_else(|e| panic!("`{}` transformed failed: {e}", w.name()));
 
-    check_equivalence(w, np, &out, &base, &pre);
-    build_measurement(w, np, model, &out, &base, &pre)
+    check_equivalence(w, np, &out, &base.outputs, &pre.outputs);
+    build_measurement(w, np, model, &out, &base.report, &pre.report)
 }
 
 /// Equivalence gate (§4): benchmarks must compute identical answers.
@@ -144,8 +162,8 @@ fn check_equivalence(
     w: &dyn Workload,
     np: usize,
     out: &TransformOutput,
-    base: &RunResult,
-    pre: &RunResult,
+    base: &[RankOutput],
+    pre: &[RankOutput],
 ) {
     let excluded = out.report.incomparable_arrays();
     for rank in 0..np {
@@ -154,8 +172,8 @@ fn check_equivalence(
                 continue;
             }
             assert_eq!(
-                base.outputs[rank].arrays.get(&name),
-                pre.outputs[rank].arrays.get(&name),
+                base[rank].arrays.get(&name),
+                pre[rank].arrays.get(&name),
                 "`{}` rank {rank} array `{name}` differs",
                 w.name()
             );
@@ -168,8 +186,8 @@ fn build_measurement(
     np: usize,
     model: &NetworkModel,
     out: &TransformOutput,
-    base: &RunResult,
-    pre: &RunResult,
+    base: &Report,
+    pre: &Report,
 ) -> Measurement {
     Measurement {
         workload: w.name(),
@@ -181,10 +199,10 @@ fn build_measurement(
             .opportunities
             .iter()
             .find_map(|o| o.strategy.map(|s| s.to_string())),
-        orig: base.report.makespan(),
-        prepush: pre.report.makespan(),
-        orig_exposed: base.report.max_exposed_comm(),
-        prepush_exposed: pre.report.max_exposed_comm(),
+        orig: base.makespan(),
+        prepush: pre.makespan(),
+        orig_exposed: base.max_exposed_comm(),
+        prepush_exposed: pre.max_exposed_comm(),
     }
 }
 
@@ -203,9 +221,24 @@ pub fn measure_original_cached(
     w: &dyn Workload,
     model: &NetworkModel,
 ) -> (SimTime, SimTime) {
-    let r = cache
-        .original(spec, w)
-        .run(spec.np, model)
+    measure_original_with(&Simulator::full(&RunCounts::default()), cache, spec, w, model)
+}
+
+/// [`measure_original_cached`] with the simulation run by `sim`.
+pub(crate) fn measure_original_with(
+    sim: &Simulator,
+    cache: &CompileCache,
+    spec: &ScenarioSpec,
+    w: &dyn Workload,
+    model: &NetworkModel,
+) -> (SimTime, SimTime) {
+    let r = sim
+        .simulate(
+            || fir::unparse(&w.program()),
+            &cache.original(spec, w),
+            spec.np,
+            model,
+        )
         .unwrap_or_else(|e| panic!("`{}` original failed: {e}", w.name()));
     (r.report.makespan(), r.report.max_exposed_comm())
 }

@@ -32,6 +32,6 @@ pub use cost::{CostModel, Options};
 pub use typeck::analyze_types;
 pub use run::{
     compile_program, run_program, run_program_opts, run_source, ArrayDump, CompiledProgram,
-    RankOutput, RunError, RunResult,
+    RankOutput, Recording, RunError, RunResult,
 };
 pub use value::{ArrayStorage, Data, Scalar};

@@ -6,6 +6,7 @@ use crate::exec::{Interp, LFrame};
 use crate::lower::{LProc, LProgram};
 use crate::machine::Machine;
 use crate::value::Data;
+use clustersim::script::{Op, Payloads, Script};
 use clustersim::{Cluster, NetworkModel, Report, SimError, Trace};
 use fir::ast::Program;
 use std::collections::BTreeMap;
@@ -143,11 +144,40 @@ impl CompiledProgram {
     /// are independent and deterministic: virtual times, stats, outputs,
     /// and traces depend only on (compiled program, np, model).
     pub fn run(&self, np: usize, model: &NetworkModel) -> Result<RunResult, RunError> {
+        Ok(self.execute(np, model, false)?.0)
+    }
+
+    /// [`CompiledProgram::run`], also recording the run's model-free
+    /// skeleton so other models can [replay](Recording::replay) it
+    /// instead of interpreting the program again.
+    ///
+    /// The recording is `None` when the options make execution depend on
+    /// virtual time: the buffer-reuse detector reads the clock, and a
+    /// trace's per-statement compute events would be lost to the merged
+    /// compute spans a recording keeps.
+    pub fn run_recorded(
+        &self,
+        np: usize,
+        model: &NetworkModel,
+    ) -> Result<(RunResult, Option<Recording>), RunError> {
+        let record = !self.opts.detect_buffer_reuse && !self.opts.trace;
+        self.execute(np, model, record)
+    }
+
+    fn execute(
+        &self,
+        np: usize,
+        model: &NetworkModel,
+        record: bool,
+    ) -> Result<(RunResult, Option<Recording>), RunError> {
         let opts = &self.opts;
         let lowered: &LProgram = &self.lowered;
         let mut cluster = Cluster::new(np, model.clone());
         if opts.trace {
             cluster = cluster.traced();
+        }
+        if record {
+            cluster = cluster.recording();
         }
         let out = if opts.resumable {
             // Resumable engine: ranks are state machines driven by a bounded
@@ -163,11 +193,49 @@ impl CompiledProgram {
             })?
         };
 
-        Ok(RunResult {
+        let recording = out.ops.map(|ops| Recording {
+            payloads: Payloads::for_scripts(ops.iter().map(Vec::as_slice)),
+            ops,
+            workers: opts.rank_workers,
+        });
+        let result = RunResult {
             outputs: out.results,
             report: out.report,
             trace: out.trace,
-        })
+        };
+        Ok((result, recording))
+    }
+}
+
+/// One run's model-independent skeleton: every rank's `Comm` calls, in
+/// order.
+///
+/// With the buffer-reuse detector off, nothing a rank does depends on
+/// virtual time: messages match by explicit (source, tag) in FIFO order,
+/// the interpreter never reads the clock, and statement charges come from
+/// the cost model, not the network model — every network-model effect
+/// happens inside the `Comm` calls. So the call sequence, like the
+/// recorded run's outputs, is a function of (compiled program, np)
+/// alone, and replaying the calls on another model yields the statistics
+/// a full run there would.
+pub struct Recording {
+    ops: Vec<Vec<Op>>,
+    payloads: Payloads,
+    workers: Option<usize>,
+}
+
+impl Recording {
+    pub fn np(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// The report a full run on `model` produces, from the recorded calls
+    /// replayed as scripts: every [`clustersim::RankStats`] field matches.
+    pub fn replay(&self, model: &NetworkModel) -> Result<Report, RunError> {
+        let out = Cluster::new(self.np(), model.clone()).run_resumable(self.workers, |comm| {
+            Script::with_payloads(&self.ops[comm.rank()], &self.payloads)
+        })?;
+        Ok(out.report)
     }
 }
 

@@ -108,6 +108,20 @@ fn hostile_inputs_get_specific_4xx_and_the_server_survives() {
     let resp = talk(addr, &full);
     assert!(status_line(&resp).starts_with("HTTP/1.1 400"), "{resp}");
 
+    // A scenario with more ranks than the simulator accepts -> 400 naming
+    // the limit, before anything allocates np² mailboxes.
+    let body = r#"{"scenario": {"workload": "direct2d", "np": 100000, "model": "mpich"}}"#;
+    let req = format!(
+        "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let resp = talk(addr, req.as_bytes());
+    assert!(status_line(&resp).starts_with("HTTP/1.1 400"), "{resp}");
+    assert!(
+        resp.contains(&format!("limit of {} ranks", clustersim::MAX_NP)),
+        "{resp}"
+    );
+
     // After all that abuse, a well-formed request still works.
     let resp = talk(addr, b"GET /jobs/1 HTTP/1.1\r\n\r\n");
     assert!(

@@ -55,6 +55,14 @@ cmp BENCH_sweep.json target/BENCH_quick_warm.json || {
   echo "compile-cache smoke FAILED: warm-cache artifact differs from the cold run"
   exit 1
 }
+# The quick grid runs two models per shape, so the second model of each
+# shape must replay the first one's recording (DESIGN.md §5, layer 3).
+replayed=$(sed -n 's/^ *"replayed_runs": \([0-9][0-9]*\),*$/\1/p' target/BENCH_sweep_wall.json)
+if [ -z "$replayed" ] || [ "$replayed" -eq 0 ]; then
+  echo "replay smoke FAILED: expected >0 replayed runs in the quick grid, got [${replayed:-none}]"
+  exit 1
+fi
+echo "replayed runs in the quick grid: $replayed"
 
 echo "==> incremental smoke: --incremental vs the committed artifact reuses rows"
 # With no input changes, every baseline row's input_hash matches, nothing

@@ -154,3 +154,22 @@ fn deterministic_timings() {
     assert_eq!(a.orig_ns, b.orig_ns);
     assert_eq!(a.pre_ns, b.pre_ns);
 }
+
+/// The `--wall-out` artifact's `timing` section counts how each program
+/// simulation ran: the quick grid's two models per shape mean every
+/// program is interpreted once and replayed once. The counts live only
+/// in the timing section; the normalized artifact never carries them.
+#[test]
+fn wall_out_timing_counts_full_and_replayed_runs() {
+    use overlap_suite::sweep::{json, run_sweep, SweepGrid};
+    let result = run_sweep(&SweepGrid::quick(), 1);
+    let t = result.timing.as_ref().unwrap();
+    assert!(t.replayed_runs > 0, "quick grid must replay");
+    assert_eq!(t.full_runs + t.replayed_runs, 2 * result.records.len() as u64);
+    let text = json::to_json_string(&result);
+    assert!(text.contains(&format!("\"full_runs\": {}", t.full_runs)));
+    assert!(text.contains(&format!("\"replayed_runs\": {}", t.replayed_runs)));
+    assert_eq!(json::from_json_string(&text).unwrap().timing, result.timing);
+    let normalized = json::to_json_string(&result.normalized());
+    assert!(!normalized.contains("full_runs") && !normalized.contains("replayed_runs"));
+}
