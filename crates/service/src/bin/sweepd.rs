@@ -53,10 +53,10 @@ fn main() {
         std::process::exit(1);
     });
     let addr = server.local_addr().expect("bound listener has an address");
-    println!("listening on http://{addr}");
-    use std::io::Write;
-    let _ = std::io::stdout().flush();
 
+    // The latch goes in before the address is printed, so a script that
+    // signals as soon as it reads the address never kills the process
+    // outright.
     let handle = server.handle();
     #[cfg(unix)]
     {
@@ -72,6 +72,10 @@ fn main() {
     }
     #[cfg(not(unix))]
     let _ = handle;
+
+    println!("listening on http://{addr}");
+    use std::io::Write;
+    let _ = std::io::stdout().flush();
 
     if let Err(e) = server.run() {
         eprintln!("server error: {e}");

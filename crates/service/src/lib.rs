@@ -30,6 +30,15 @@
 //! drains: queued jobs are cancelled, the running job finishes, new
 //! submissions get 503, event streams run to their terminal event, and
 //! only then does [`Server::run`] return.
+//!
+//! The accept loop never polls: it blocks in `accept` and is woken by a
+//! throwaway connection to its own address — once by
+//! [`ServerHandle::shutdown`], and once more when the drain completes.
+//! A request therefore waits for no timer between connect and dispatch.
+//!
+//! `grid_file` is confined to the `scenarios/` directory of the server's
+//! working directory: a path that does not resolve to a file inside it
+//! is refused with a 400 before anything reads it.
 
 pub mod http;
 
@@ -37,16 +46,25 @@ use driver::job::{GridSource, JobCore, JobId, JobSpec, JobState, JobStatus, Subm
 use driver::json::{self, Json};
 use driver::spec::{ModelSpec, ScenarioSpec, SizeClass, Variant};
 use http::{HttpError, Request};
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How long a connection may take to deliver its request.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
-/// Poll interval of the accept loop (and of event streaming).
-const POLL: Duration = Duration::from_millis(5);
+/// Pause after a failed `accept` (such as EMFILE) before retrying. The
+/// accept loop's only sleep; a successful accept never waits.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+/// `Retry-After` seconds for a connection refused because the OS would
+/// not start its handler thread.
+const SPAWN_RETRY_AFTER_S: u64 = 1;
+/// The directory, relative to the server's working directory, that
+/// every `grid_file` must lie under.
+const SCENARIOS_DIR: &str = "scenarios";
 
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -73,12 +91,39 @@ impl Default for ServerConfig {
 #[derive(Clone)]
 pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
+    /// Where a connection reaches the listener (see [`wake_addr`]).
+    wake: SocketAddr,
 }
 
 impl ServerHandle {
+    /// Ask the server to drain and stop. Sets the shutdown flag, then
+    /// makes one throwaway connection to the listener so the accept loop,
+    /// blocked in `accept`, wakes and sees the flag without waiting for
+    /// client traffic. Returns at once; [`Server::run`] returns when the
+    /// drain is complete.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        wake(self.wake);
     }
+}
+
+/// Unblock an `accept` on `addr`: connect and hang up at once. The
+/// connection is dispatched like any other; its handler reads EOF and
+/// returns.
+fn wake(addr: SocketAddr) {
+    let _ = TcpStream::connect(addr);
+}
+
+/// The address a connection to a listener bound at `bound` should use:
+/// the bound address itself, except that an unspecified one (`0.0.0.0`,
+/// `::`) becomes the loopback address of the same family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// The bound-but-not-yet-serving server. [`Server::run`] consumes it
@@ -87,6 +132,7 @@ pub struct Server {
     listener: TcpListener,
     service: Arc<Service>,
     shutdown: Arc<AtomicBool>,
+    wake: SocketAddr,
 }
 
 struct Service {
@@ -95,8 +141,9 @@ struct Service {
 }
 
 impl Server {
-    pub fn bind(config: &ServerConfig) -> std::io::Result<Server> {
+    pub fn bind(config: &ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
+        let wake = wake_addr(listener.local_addr()?);
         Ok(Server {
             listener,
             service: Arc::new(Service {
@@ -104,55 +151,114 @@ impl Server {
                 default_threads: config.default_threads,
             }),
             shutdown: Arc::new(AtomicBool::new(false)),
+            wake,
         })
     }
 
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
     pub fn handle(&self) -> ServerHandle {
         ServerHandle {
             shutdown: Arc::clone(&self.shutdown),
+            wake: self.wake,
         }
     }
 
-    /// Accept loop. Runs until [`ServerHandle::shutdown`] is called and
-    /// the job core has drained; keeps accepting *during* the drain so
-    /// late submitters get an orderly 503 instead of a refused socket.
-    pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    /// Accept loop. Blocks in `accept` and hands each connection to its
+    /// own handler thread. The first wake after [`ServerHandle::shutdown`]
+    /// starts the job core's drain and a waiter thread that joins the
+    /// core, then wakes the loop once more; that wake ends the loop.
+    /// Until then the loop keeps accepting, so late submitters get an
+    /// orderly 503 instead of a refused socket. Handlers (event streams
+    /// included) are joined before `run` returns.
+    pub fn run(self) -> io::Result<()> {
+        let drained = Arc::new(AtomicBool::new(false));
+        let mut waiter: Option<JoinHandle<()>> = None;
         let mut draining = false;
+        let mut handlers: Vec<JoinHandle<()>> = Vec::new();
         loop {
+            let accepted = self.listener.accept();
             if !draining && self.shutdown.load(Ordering::SeqCst) {
                 draining = true;
                 self.service.core.shutdown();
+                let service = Arc::clone(&self.service);
+                let done = Arc::clone(&drained);
+                let addr = self.wake;
+                let spawned = std::thread::Builder::new()
+                    .name("sweepd-drain".into())
+                    .spawn(move || {
+                        service.core.join();
+                        done.store(true, Ordering::SeqCst);
+                        wake(addr);
+                    });
+                match spawned {
+                    Ok(h) => waiter = Some(h),
+                    // No thread to wait on: drain here instead (late
+                    // submitters then sit in the backlog, not get a 503).
+                    Err(_) => {
+                        self.service.core.join();
+                        drained.store(true, Ordering::SeqCst);
+                    }
+                }
             }
-            if draining && self.service.core.is_finished() {
-                break;
-            }
-            match self.listener.accept() {
+            match accepted {
                 Ok((stream, _peer)) => {
-                    let service = Arc::clone(&self.service);
-                    handlers.push(std::thread::spawn(move || {
-                        handle_connection(stream, &service);
-                    }));
+                    handlers.extend(dispatch(stream, &self.service, spawn_handler));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL);
-                }
-                Err(_) => std::thread::sleep(POLL),
+                Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+            }
+            if drained.load(Ordering::SeqCst) {
+                break;
             }
             // Dropping a finished handle just detaches an already-dead
             // thread; unfinished ones are joined after the loop.
             handlers.retain(|h| !h.is_finished());
         }
-        self.service.core.join();
+        if let Some(h) = waiter {
+            let _ = h.join();
+        }
         for h in handlers {
             let _ = h.join();
         }
         Ok(())
+    }
+}
+
+/// A connection's handler, as [`dispatch`] hands it to a thread spawner.
+type Handler = Box<dyn FnOnce() + Send>;
+
+fn spawn_handler(handler: Handler) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().spawn(handler)
+}
+
+/// Hand an accepted connection to a handler thread made by `spawn`. If
+/// the OS refuses the thread, answer `503` with `Retry-After` from the
+/// calling (accept) thread and drop the connection; the server keeps
+/// serving. Returns the handler's join handle, if it started.
+fn dispatch(
+    stream: TcpStream,
+    service: &Arc<Service>,
+    spawn: impl FnOnce(Handler) -> io::Result<JoinHandle<()>>,
+) -> Option<JoinHandle<()>> {
+    // A second handle on the socket: a refused spawn drops the handler,
+    // and the stream with it, before this thread could answer on it.
+    let fallback = stream.try_clone();
+    let service = Arc::clone(service);
+    match spawn(Box::new(move || handle_connection(stream, &service))) {
+        Ok(handle) => Some(handle),
+        Err(e) => {
+            if let Ok(mut stream) = fallback {
+                respond_retry(
+                    &mut stream,
+                    &format!("cannot start a connection handler: {e}"),
+                    SPAWN_RETRY_AFTER_S,
+                );
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+            }
+            None
+        }
     }
 }
 
@@ -169,15 +275,28 @@ fn respond(stream: &mut TcpStream, status: u16, reason: &'static str, body: &Jso
     let _ = stream.write_all(&http::response(status, reason, "application/json", &[], &bytes));
 }
 
-fn handle_connection(stream: TcpStream, service: &Service) {
+/// A `503 Service Unavailable` whose `Retry-After` header and
+/// `retry_after_s` body field tell the client when to try again.
+fn respond_retry(stream: &mut TcpStream, message: &str, retry_after_s: u64) {
+    let body = Json::Obj(vec![
+        ("error".into(), Json::Str(message.into())),
+        ("retry_after_s".into(), Json::Int(retry_after_s as i64)),
+    ]);
+    let bytes = json::write_json(&body).into_bytes();
+    let _ = stream.write_all(&http::response(
+        503,
+        "Service Unavailable",
+        "application/json",
+        &[("Retry-After".to_string(), retry_after_s.to_string())],
+        &bytes,
+    ));
+}
+
+fn handle_connection(mut stream: TcpStream, service: &Service) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
-    let mut stream = stream;
-    let Ok(reader_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(reader_half);
-    match http::parse_request(&mut reader) {
+    let parsed = http::parse_request(&mut BufReader::new(&stream));
+    match parsed {
         Ok(req) => route(service, &req, &mut stream),
         Err(HttpError::Closed) => {}
         Err(e) => {
@@ -288,6 +407,27 @@ fn scenario_from_json(v: &Json) -> Result<ScenarioSpec, String> {
     })
 }
 
+/// Check that a submitted `grid_file` resolves, symlinks and `..`
+/// included, to a file inside `root` (in the service, [`SCENARIOS_DIR`]
+/// of the working directory). Nothing is read, so the error, which names
+/// the rule and echoes only the submitted path, can carry no file
+/// content; it is the same whether the path is missing or outside.
+fn confine_grid_file(root: &Path, path: &str) -> Result<(), String> {
+    let inside = match (std::fs::canonicalize(root), std::fs::canonicalize(path)) {
+        (Ok(root), Ok(file)) => file.starts_with(&root) && file.is_file(),
+        _ => false,
+    };
+    if inside {
+        Ok(())
+    } else {
+        Err(format!(
+            "`grid_file` must name an existing file under {}/ of the server's \
+             working directory; `{path}` does not",
+            root.display()
+        ))
+    }
+}
+
 fn post_job(service: &Service, req: &Request, stream: &mut TcpStream) {
     let doc = match json::parse_json_bytes(&req.body) {
         Ok(doc) => doc,
@@ -304,6 +444,16 @@ fn post_job(service: &Service, req: &Request, stream: &mut TcpStream) {
     };
     let mut sources: Vec<GridSource> = Vec::new();
     if let Some(p) = doc.get("grid_file").and_then(Json::as_str) {
+        if let Err(e) = confine_grid_file(Path::new(SCENARIOS_DIR), p) {
+            let _ = stream.write_all(&http::response(
+                400,
+                "Bad Request",
+                "application/json",
+                &[],
+                &error_body(&e),
+            ));
+            return;
+        }
         sources.push(GridSource::GridFile(p.to_string()));
     }
     if let Some(t) = doc.get("grid_toml").and_then(Json::as_str) {
@@ -391,23 +541,11 @@ fn post_job(service: &Service, req: &Request, stream: &mut TcpStream) {
         Err(SubmitError::QueueFull {
             capacity,
             retry_after_s,
-        }) => {
-            let body = Json::Obj(vec![
-                (
-                    "error".into(),
-                    Json::Str(format!("job queue full ({capacity} queued)")),
-                ),
-                ("retry_after_s".into(), Json::Int(retry_after_s as i64)),
-            ]);
-            let bytes = json::write_json(&body).into_bytes();
-            let _ = stream.write_all(&http::response(
-                503,
-                "Service Unavailable",
-                "application/json",
-                &[("Retry-After".to_string(), retry_after_s.to_string())],
-                &bytes,
-            ));
-        }
+        }) => respond_retry(
+            stream,
+            &format!("job queue full ({capacity} queued)"),
+            retry_after_s,
+        ),
         Err(SubmitError::ShuttingDown) => {
             let _ = stream.write_all(&http::response(
                 503,
@@ -626,5 +764,111 @@ pub mod signal {
     /// Has a latched signal arrived?
     pub fn signaled() -> bool {
         SIGNALED.load(Ordering::SeqCst)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    #[test]
+    fn wake_addr_maps_unspecified_to_loopback_of_the_same_family() {
+        let cases = [
+            ("0.0.0.0:7071", "127.0.0.1:7071"),
+            ("[::]:7071", "[::1]:7071"),
+            ("127.0.0.1:80", "127.0.0.1:80"),
+            ("10.1.2.3:9", "10.1.2.3:9"),
+            ("[fe80::1]:9", "[fe80::1]:9"),
+        ];
+        for (bound, want) in cases {
+            let bound: SocketAddr = bound.parse().unwrap();
+            assert_eq!(
+                wake_addr(bound),
+                want.parse::<SocketAddr>().unwrap(),
+                "{bound}"
+            );
+        }
+    }
+
+    /// A connected pair: the client end and the server's accepted end.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        (client, server)
+    }
+
+    fn inert_service() -> Arc<Service> {
+        Arc::new(Service {
+            core: JobCore::new_inert(1),
+            default_threads: 1,
+        })
+    }
+
+    #[test]
+    fn refused_handler_thread_gets_503_with_retry_after() {
+        let service = inert_service();
+        let (mut client, server) = socket_pair();
+        let handle = dispatch(server, &service, |_handler| {
+            Err(io::Error::new(io::ErrorKind::WouldBlock, "no threads left"))
+        });
+        assert!(handle.is_none(), "a refused spawn leaves nothing to join");
+        let mut response = String::new();
+        client.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 503 "), "{response}");
+        assert!(
+            response.contains(&format!("Retry-After: {SPAWN_RETRY_AFTER_S}\r\n")),
+            "{response}"
+        );
+        assert!(response.contains("no threads left"), "{response}");
+
+        // The next connection is dispatched normally.
+        let (mut client, server) = socket_pair();
+        let handle = dispatch(server, &service, spawn_handler).expect("handler started");
+        client.write_all(b"GET /jobs/1 HTTP/1.1\r\n\r\n").unwrap();
+        let mut response = String::new();
+        client.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 404 "), "{response}");
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn grid_file_must_resolve_inside_the_root() {
+        let base = std::env::temp_dir().join(format!("sweepd-confine-{}", std::process::id()));
+        let root = base.join("scenarios");
+        std::fs::create_dir_all(&root).unwrap();
+        std::fs::write(root.join("ok.toml"), "inside").unwrap();
+        std::fs::write(base.join("secret.toml"), "outside").unwrap();
+        #[cfg(unix)]
+        std::os::unix::fs::symlink(base.join("secret.toml"), root.join("link.toml")).unwrap();
+
+        let at = |rel: &str| base.join(rel).to_string_lossy().into_owned();
+        assert_eq!(confine_grid_file(&root, &at("scenarios/ok.toml")), Ok(()));
+        let mut refused = vec![
+            at("secret.toml"),
+            at("scenarios/../secret.toml"),
+            at("scenarios/missing.toml"),
+            at("scenarios"),
+            "/".to_string(),
+        ];
+        if cfg!(unix) {
+            refused.push(at("scenarios/link.toml"));
+        }
+        for path in refused {
+            let err = confine_grid_file(&root, &path).unwrap_err();
+            assert!(
+                err.contains("must name an existing file under"),
+                "{path}: {err}"
+            );
+            assert!(
+                !err.contains("outside") && !err.contains("inside"),
+                "{path}: {err}"
+            );
+        }
+        std::fs::remove_dir_all(&base).unwrap();
     }
 }

@@ -132,3 +132,52 @@ fn hostile_inputs_get_specific_4xx_and_the_server_survives() {
     handle.shutdown();
     join.join().expect("server thread exits cleanly");
 }
+
+/// `grid_file` may only name a file under `scenarios/` of the server's
+/// working directory (this test's is the crate root, which has none, so
+/// here every path is outside). A path outside gets a 400 that names the
+/// rule and carries none of the file's text, and the server stays up.
+#[test]
+fn grid_file_outside_scenarios_is_refused_without_its_content() {
+    let (addr, handle, join) = start_server();
+    let manifest = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+    let text = std::fs::read_to_string(manifest).expect("read the crate manifest");
+    for path in [manifest, "scenarios/../Cargo.toml", "Cargo.toml"] {
+        let body = format!(r#"{{"grid_file": "{path}"}}"#);
+        let req = format!(
+            "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let resp = talk(addr, req.as_bytes());
+        assert!(
+            status_line(&resp).starts_with("HTTP/1.1 400"),
+            "{path}: {resp}"
+        );
+        assert!(
+            resp.contains("must name an existing file under scenarios/"),
+            "{path}: {resp}"
+        );
+        // Check the raw body and its decoded message (JSON escapes quotes).
+        let (_, resp_body) = resp.split_once("\r\n\r\n").expect("head/body split");
+        let doc = driver::json::parse_json_bytes(resp_body.as_bytes()).expect("JSON error body");
+        let message = doc
+            .get("error")
+            .and_then(|e| e.as_str())
+            .expect("error message");
+        for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+            assert!(
+                !resp_body.contains(line) && !message.contains(line),
+                "{path}: response echoes `{line}`: {resp}"
+            );
+        }
+
+        let resp = talk(addr, b"GET /jobs/1 HTTP/1.1\r\n\r\n");
+        assert!(
+            status_line(&resp).starts_with("HTTP/1.1 404"),
+            "{path}: {resp}"
+        );
+    }
+
+    handle.shutdown();
+    join.join().expect("server thread exits cleanly");
+}

@@ -256,6 +256,42 @@ grep -q "drained; exiting" target/sweepd.log || {
   exit 1
 }
 
+echo "==> sweep-service smoke: idle sweepd exits on SIGTERM with no traffic"
+# The accept loop blocks in accept(); only the shutdown's self-connect
+# can wake it. Send no request at all: the signal watcher's
+# ServerHandle::shutdown must end the process, drained, within 10 s.
+./target/release/sweepd --addr 127.0.0.1:0 > target/sweepd_idle.log 2>&1 &
+idle_pid=$!
+addr=""
+for _ in $(seq 1 100); do
+  addr=$(sed -n 's|^listening on http://||p' target/sweepd_idle.log)
+  [ -n "$addr" ] && break
+  sleep 0.1
+done
+if [ -z "$addr" ]; then
+  echo "idle-shutdown smoke FAILED: sweepd never reported its address"
+  kill "$idle_pid" 2>/dev/null || true
+  exit 1
+fi
+kill -TERM "$idle_pid"
+for _ in $(seq 1 100); do
+  kill -0 "$idle_pid" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$idle_pid" 2>/dev/null; then
+  echo "idle-shutdown smoke FAILED: idle sweepd still running 10 s after SIGTERM"
+  kill -KILL "$idle_pid" 2>/dev/null || true
+  exit 1
+fi
+wait "$idle_pid" || {
+  echo "idle-shutdown smoke FAILED: idle sweepd exited nonzero after SIGTERM"
+  exit 1
+}
+grep -q "drained; exiting" target/sweepd_idle.log || {
+  echo "idle-shutdown smoke FAILED: idle sweepd never printed the drain epitaph"
+  exit 1
+}
+
 echo "==> perf smoke: simulator-core micro-bench (isend/recv + alltoall, resumable engine)"
 cargo bench -p clustersim --bench core_comm
 

@@ -215,3 +215,40 @@ fn full_queue_gets_backpressure_not_acceptance() {
     handle.shutdown();
     server_thread.join().expect("server exits");
 }
+
+#[test]
+fn grid_file_is_confined_to_scenarios() {
+    // Run from the repo root, where `scenarios/` exists: the prefix check,
+    // not a missing directory, is what refuses these.
+    let server = Server::bind(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        queue_capacity: 1,
+        default_threads: 1,
+    })
+    .expect("bind");
+    let addr = server.local_addr().unwrap();
+    let handle = server.handle();
+    let server_thread = std::thread::spawn(move || server.run().expect("run"));
+
+    let manifest = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+    for path in [
+        manifest,
+        "scenarios/../Cargo.toml",
+        "Cargo.toml",
+        "scenarios",
+    ] {
+        let (head, body) = post_json(addr, "/jobs", &format!(r#"{{"grid_file": "{path}"}}"#));
+        assert_eq!(status_of(&head), 400, "{path}: {body}");
+        assert!(body.contains("under scenarios/"), "{path}: {body}");
+        assert!(!body.contains("[workspace]"), "{path}: {body}");
+    }
+    let (head, body) = post_json(
+        addr,
+        "/jobs",
+        r#"{"grid_file": "scenarios/../scenarios/quick.toml"}"#,
+    );
+    assert_eq!(status_of(&head), 202, "{body}");
+
+    handle.shutdown();
+    server_thread.join().expect("server exits");
+}
